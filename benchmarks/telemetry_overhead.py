@@ -8,12 +8,12 @@ The telemetry layer's performance contract has two halves:
   telemetry off then on, and reports the wall-clock ratio.  CI's
   ``telemetry-smoke`` job asserts the ratio stays under its budget and
   the regression gate bands it against the committed baseline.
-* **detached cost** — with no collector attached, the instrumentation
-  points must cost one attribute check and nothing else.  The micro
-  floor times the engine-style guard (``telemetry.enabled``) against the
-  null object and reports nanoseconds per check, so a refactor that
-  accidentally makes the disabled path allocate shows up as a number,
-  not a hunch.
+* **detached cost** — with no observation hub attached, the
+  instrumentation points must cost one ``None`` check and nothing else.
+  The micro floor times the engine-style guard (``watch is not None``)
+  on a bare cluster's hub and reports nanoseconds per check, so a
+  refactor that accidentally makes the detached path allocate shows up
+  as a number, not a hunch.
 
 The lineage layer (PR 9's flight recorder + watchdog) carries the same
 contract and gets the same twin: :func:`measure_lineage_overhead` runs
@@ -35,8 +35,8 @@ from repro.analysis import paper_cluster
 from repro.core import SPCube
 from repro.datagen import gen_binomial
 from repro.observability import (
-    NULL_TELEMETRY,
     LineageRecorder,
+    Observers,
     Telemetry,
     Watchdog,
 )
@@ -65,7 +65,7 @@ def measure_overhead(
         off_times.append(_timed_compute(paper_cluster(rows), relation))
         telemetry = Telemetry(run_id="overhead-twin")
         on_cluster = paper_cluster(rows)
-        on_cluster.telemetry = telemetry
+        on_cluster.observers = Observers(telemetry=telemetry)
         on_times.append(_timed_compute(on_cluster, relation))
         samples = len(telemetry.samples)
     off_wall, on_wall = min(off_times), min(on_times)
@@ -93,12 +93,15 @@ def measure_lineage_overhead(
     flows = alerts = 0
     for _ in range(repeats):
         off_times.append(_timed_compute(paper_cluster(rows), relation))
+        observers = Observers(
+            lineage=LineageRecorder(run_id="overhead-twin"),
+            watchdog=Watchdog(),
+        )
         on_cluster = paper_cluster(rows)
-        on_cluster.lineage = LineageRecorder(run_id="overhead-twin")
-        on_cluster.watchdog = Watchdog()
+        on_cluster.observers = observers
         on_times.append(_timed_compute(on_cluster, relation))
-        flows = sum(len(job["flows"]) for job in on_cluster.lineage.jobs)
-        alerts = len(on_cluster.watchdog.alerts)
+        flows = sum(len(job["flows"]) for job in observers.lineage.jobs)
+        alerts = len(observers.watchdog.alerts)
     off_wall, on_wall = min(off_times), min(on_times)
     return {
         "rows": rows,
@@ -111,18 +114,18 @@ def measure_lineage_overhead(
 
 
 def null_guard_floor(iterations: int = 200_000) -> Dict:
-    """Nanoseconds per disabled-path check, vs an empty loop baseline.
+    """Nanoseconds per detached-path check, vs an empty loop baseline.
 
-    The engine's instrumentation points reduce to ``if telemetry.enabled:``
-    when no collector is attached; this times exactly that guard on the
-    shared null object and subtracts the loop's own cost.
+    The engine's per-task instrumentation points reduce to
+    ``if watch is not None:`` when the cluster carries no observation
+    hub; this times exactly that guard and subtracts the loop's own cost.
     """
-    telemetry = NULL_TELEMETRY
+    watch = paper_cluster(1).observers
     counted = 0
 
     start = time.perf_counter()
     for _ in range(iterations):
-        if telemetry.enabled:
+        if watch is not None:
             counted += 1
     guarded = time.perf_counter() - start
 
@@ -135,7 +138,7 @@ def null_guard_floor(iterations: int = 200_000) -> Dict:
     return {
         "iterations": iterations,
         "guard_ns_per_check": round(per_check_ns, 2),
-        "samples_taken": counted,  # always 0: the null never enables
+        "samples_taken": counted,  # always 0: nothing is attached
     }
 
 

@@ -35,7 +35,12 @@ from repro.core import SPCube
 from repro.datagen import gen_binomial
 from repro.mapreduce import MapReduceJob, pair_bytes, stable_hash
 from repro.mapreduce.engine import _route_pairs
-from repro.observability import LineageRecorder, Telemetry, Watchdog
+from repro.observability import (
+    LineageRecorder,
+    Observers,
+    Telemetry,
+    Watchdog,
+)
 
 from telemetry_overhead import null_guard_floor
 
@@ -205,7 +210,7 @@ def test_perf_wallclock():
     # cost (one attribute check) in ns.
     telemetry = Telemetry(run_id="perf-bench")
     telemetered_cluster = paper_cluster(ROWS)
-    telemetered_cluster.telemetry = telemetry
+    telemetered_cluster.observers = Observers(telemetry=telemetry)
     telemetered_run, telemetered_wall, _ = _timed_run(
         telemetered_cluster, relation
     )
@@ -226,9 +231,11 @@ def test_perf_wallclock():
     # its cuboid).  The wall ratio is banded by the regression gate like
     # the telemetry ratio; it runs well above 1.0 by design, so only
     # drift against the committed baseline is a finding.
+    lineage_observers = Observers(
+        lineage=LineageRecorder(run_id="perf-bench"), watchdog=Watchdog()
+    )
     lineage_cluster = paper_cluster(ROWS)
-    lineage_cluster.lineage = LineageRecorder(run_id="perf-bench")
-    lineage_cluster.watchdog = Watchdog()
+    lineage_cluster.observers = lineage_observers
     lineage_run, lineage_wall, _ = _timed_run(lineage_cluster, relation)
     assert lineage_run.cube == serial_run.cube  # observation-only
     lineage_report = {
@@ -238,9 +245,9 @@ def test_perf_wallclock():
             lineage_wall / serial_wall if serial_wall > 0 else 0.0, 4
         ),
         "flows_recorded": sum(
-            len(job["flows"]) for job in lineage_cluster.lineage.jobs
+            len(job["flows"]) for job in lineage_observers.lineage.jobs
         ),
-        "alerts_emitted": len(lineage_cluster.watchdog.alerts),
+        "alerts_emitted": len(lineage_observers.watchdog.alerts),
     }
 
     hot_path = _hot_path_micro()

@@ -140,7 +140,7 @@ def run_sweep(
     crash_prob: float = 0.1,
     straggle_prob: float = 0.1,
     node_crash_prob: float = 0.0,
-    tracer=None,
+    observers=None,
 ) -> SweepResult:
     """Execute a full sweep: one point per workload, one run per factory.
 
@@ -167,14 +167,14 @@ def run_sweep(
         :func:`derive_fault_seed` ``(fault_seed, algorithm, x)``, so
         fault schedules are independent across points and curves rather
         than replaying one pattern sweep-wide.
-    tracer:
-        A :class:`~repro.observability.Tracer` attached to every run's
-        cluster; the sweep's runs lay out consecutively on its simulated
-        timeline (callers own ``tracer.close()``).
+    observers:
+        An :class:`~repro.observability.Observers` hub attached to every
+        run's cluster; the sweep's runs lay out consecutively on its
+        logical clock (callers own ``observers.close()``).
     """
     cluster = cluster or ClusterConfig()
-    if tracer is not None:
-        cluster = replace(cluster, tracer=tracer)
+    if observers is not None:
+        cluster = replace(cluster, observers=observers)
     sweep = SweepResult(name=name, x_label=x_label)
     sweep.algorithms = list(factories)
 

@@ -51,8 +51,6 @@ from ..mapreduce.engine import (
 )
 from ..mapreduce.metrics import RunMetrics
 from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, full_mask, projector
 from ..relation.relation import Relation
 
@@ -97,8 +95,6 @@ class HiveCube:
 
         # Hash capacity: the group-by operator gets a share of map memory.
         hash_capacity = max(64, m // 2)
-        tracer = self.cluster.tracer or NULL_TRACER
-        run_base = tracer.clock
 
         job = MapReduceJob(
             name="hive-cube",
@@ -125,8 +121,7 @@ class HiveCube:
         for (mask, values), value in result.output:
             cube.add(mask, values, value)
         metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        emit_run_telemetry(self.cluster, metrics)
+        runner.finish()
         return CubeRun(cube=cube, metrics=metrics)
 
     def _is_stuck(self, relation: Relation, memory_records: int) -> bool:

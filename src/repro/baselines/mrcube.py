@@ -42,8 +42,6 @@ from ..mapreduce.engine import (
 )
 from ..mapreduce.metrics import RunMetrics
 from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, project, projector
 from ..relation.relation import Relation
 from ..core.sampling import sampling_probability
@@ -74,8 +72,6 @@ class MRCube:
         m = self.cluster.derive_memory(n)
         d = relation.schema.num_dimensions
         metrics = RunMetrics(algorithm=self.name)
-        tracer = self.cluster.tracer or NULL_TRACER
-        self._run_base = tracer.clock
         # All rounds run through the checkpoint/recovery layer; a node
         # loss resumes the round instead of aborting the run.
         runner = RoundRunner(self.cluster, metrics, run_id="mrcube")
@@ -86,7 +82,7 @@ class MRCube:
             relation, alpha, k, m, d, metrics, runner
         )
         if metrics.jobs[-1].aborted:
-            return self._aborted_run(relation, metrics)
+            return self._aborted_run(relation, metrics, runner)
         metrics.extras["unfriendly_cuboids"] = len(shard_plan)
 
         # ---- round 2: materialize ------------------------------------------
@@ -94,7 +90,7 @@ class MRCube:
             relation, shard_plan, k, m, d, metrics, runner
         )
         if metrics.jobs[-1].aborted:
-            return self._aborted_run(relation, metrics)
+            return self._aborted_run(relation, metrics, runner)
 
         # ---- round 3: post-aggregate value-partitioned cuboids -------------
         if shard_pairs:
@@ -104,26 +100,20 @@ class MRCube:
                 )
             )
             if metrics.jobs[-1].aborted:
-                return self._aborted_run(relation, metrics)
+                return self._aborted_run(relation, metrics, runner)
 
         cube = CubeResult(relation.schema)
         for (mask, values), value in final_pairs:
             cube.add(mask, values, value)
         metrics.output_groups = cube.num_groups
-        emit_run_span(
-            self.cluster.tracer or NULL_TRACER, metrics, self._run_base
-        )
-        emit_run_telemetry(self.cluster, metrics)
+        runner.finish()
         return CubeRun(cube=cube, metrics=metrics)
 
     def _aborted_run(
-        self, relation: Relation, metrics: RunMetrics
+        self, relation: Relation, metrics: RunMetrics, runner: RoundRunner
     ) -> CubeRun:
         """A round exhausted its retry budget: stop, with no output."""
-        emit_run_span(
-            self.cluster.tracer or NULL_TRACER, metrics, self._run_base
-        )
-        emit_run_telemetry(self.cluster, metrics)
+        runner.finish()
         return CubeRun(cube=CubeResult(relation.schema), metrics=metrics)
 
     # -- round 1 ----------------------------------------------------------------

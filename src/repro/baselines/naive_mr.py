@@ -35,8 +35,6 @@ from ..mapreduce.engine import (
 )
 from ..mapreduce.metrics import RunMetrics
 from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import all_cuboids, projector
 from ..relation.relation import Relation
 
@@ -67,8 +65,6 @@ class NaiveCube:
         aggregate = self.aggregate
 
         combiner = _PartialCombiner(aggregate) if self.use_combiner else None
-        tracer = self.cluster.tracer or NULL_TRACER
-        run_base = tracer.clock
 
         job = MapReduceJob(
             name="naive-cube",
@@ -85,8 +81,7 @@ class NaiveCube:
         for (mask, values), value in result.output:
             cube.add(mask, values, value)
         metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        emit_run_telemetry(self.cluster, metrics)
+        runner.finish()
         return CubeRun(cube=cube, metrics=metrics)
 
 

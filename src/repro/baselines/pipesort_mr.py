@@ -31,8 +31,6 @@ from ..mapreduce.engine import (
 )
 from ..mapreduce.metrics import RunMetrics
 from ..observability.lineage import cuboid_of_mask_key
-from ..observability.telemetry import emit_run_telemetry
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import full_mask, mask_size, project
 from ..relation.relation import Relation
 
@@ -59,8 +57,6 @@ class PipeSortMR:
         d = relation.schema.num_dimensions
         aggregate = self.aggregate
         metrics = RunMetrics(algorithm=self.name)
-        tracer = self.cluster.tracer or NULL_TRACER
-        self._run_base = tracer.clock
         # d + 1 rounds, each checkpointed: node losses resume the failed
         # level instead of aborting the whole pipeline.
         runner = RoundRunner(self.cluster, metrics, run_id="pipesort")
@@ -74,7 +70,7 @@ class PipeSortMR:
         )
         result = runner.run(job, relation.split(k), m)
         if result.metrics.aborted:
-            return self._aborted_run(relation, metrics)
+            return self._aborted_run(relation, metrics, runner)
         level_states: Dict[Tuple[int, Tuple], object] = dict(result.output)
         all_states = dict(level_states)
 
@@ -99,7 +95,7 @@ class PipeSortMR:
             )
             result = runner.run(job, _spread(parents, k), m)
             if result.metrics.aborted:
-                return self._aborted_run(relation, metrics)
+                return self._aborted_run(relation, metrics, runner)
             level_states = dict(result.output)
             all_states.update(level_states)
 
@@ -110,21 +106,17 @@ class PipeSortMR:
         metrics.extras["rounds"] = sum(
             1 for job_metrics in metrics.jobs if not job_metrics.superseded
         )
-        emit_run_span(tracer, metrics, self._run_base)
-        emit_run_telemetry(self.cluster, metrics)
+        runner.finish()
         return CubeRun(cube=cube, metrics=metrics)
 
     def _aborted_run(
-        self, relation: Relation, metrics: RunMetrics
+        self, relation: Relation, metrics: RunMetrics, runner: RoundRunner
     ) -> CubeRun:
         """A level round exhausted its retry budget: stop, no output."""
         metrics.extras["rounds"] = sum(
             1 for job_metrics in metrics.jobs if not job_metrics.superseded
         )
-        emit_run_span(
-            self.cluster.tracer or NULL_TRACER, metrics, self._run_base
-        )
-        emit_run_telemetry(self.cluster, metrics)
+        runner.finish()
         return CubeRun(cube=CubeResult(relation.schema), metrics=metrics)
 
 

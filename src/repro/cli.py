@@ -83,6 +83,7 @@ from .observability import (
     JsonlSink,
     LineageIndex,
     LineageRecorder,
+    Observers,
     ProgressSink,
     Telemetry,
     TimelineAnalysis,
@@ -157,63 +158,48 @@ def _cluster_from_args(args, num_rows: int):
         raise SystemExit(f"repro: error: {error}") from None
 
 
-def _tracer_from_args(args):
-    """Build the run's tracer from ``--trace``/``--progress`` (or None)."""
+def _observers_from_args(args, run_id: str):
+    """The run's observation hub from ``--trace``/``--progress``,
+    ``--telemetry``, ``--lineage`` and ``--watchdog`` (``None`` when no
+    flag asks for one)."""
     sinks = []
     if args.trace:
         sinks.append(JsonlSink(args.trace))
     if args.progress:
         sinks.append(ProgressSink())
-    if not sinks:
+    if not (sinks or args.telemetry or args.lineage or args.watchdog):
         return None
     try:
-        return Tracer(sinks, level=args.trace_level)
+        return Observers(
+            tracer=Tracer(sinks, level=args.trace_level) if sinks else None,
+            telemetry=(
+                Telemetry(cadence=args.telemetry_cadence, run_id=run_id)
+                if args.telemetry else None
+            ),
+            lineage=LineageRecorder(run_id=run_id) if args.lineage else None,
+            watchdog=(
+                Watchdog(skew_tolerance=args.watchdog_tolerance)
+                if args.watchdog else None
+            ),
+        )
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}") from None
 
 
-def _telemetry_from_args(args, run_id: str):
-    """Build the run's telemetry collector from ``--telemetry`` (or None)."""
-    if not args.telemetry:
-        return None
-    try:
-        return Telemetry(cadence=args.telemetry_cadence, run_id=run_id)
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}") from None
-
-
-def _finish_telemetry(cluster, args) -> None:
-    """Write the timeline artifact if telemetry was on."""
-    telemetry = getattr(cluster, "telemetry", None)
-    if telemetry is None:
+def _finish_observers(observers, args, blank_line: bool = False) -> None:
+    """Write each attached subscriber's artifact and say where it went."""
+    if observers is None:
         return
-    telemetry.write_timeline(args.telemetry)
-    print(
-        f"telemetry timeline written to {args.telemetry} "
-        f"({len(telemetry.samples)} samples)"
-    )
-
-
-def _lineage_from_args(args, run_id: str):
-    """Build the run's flight recorder from ``--lineage`` (or None)."""
-    if not args.lineage:
-        return None
-    return LineageRecorder(run_id=run_id)
-
-
-def _watchdog_from_args(args):
-    """Build the run's watchdog from ``--watchdog`` (or None)."""
-    if not args.watchdog:
-        return None
-    try:
-        return Watchdog(skew_tolerance=args.watchdog_tolerance)
-    except ValueError as error:
-        raise SystemExit(f"repro: error: {error}") from None
-
-
-def _finish_lineage(cluster, args) -> None:
-    """Write the lineage artifact and summarize alerts, if either was on."""
-    lineage = getattr(cluster, "lineage", None)
+    if args.trace:
+        print(f"trace written to {args.trace}" + ("\n" if blank_line else ""))
+    telemetry = observers.telemetry
+    if telemetry is not None:
+        telemetry.write_timeline(args.telemetry, observers.clock)
+        print(
+            f"telemetry timeline written to {args.telemetry} "
+            f"({len(telemetry.samples)} samples)"
+        )
+    lineage = observers.lineage
     if lineage is not None:
         lineage.write(args.lineage)
         print(
@@ -221,7 +207,7 @@ def _finish_lineage(cluster, args) -> None:
             f"({len(lineage.jobs)} job(s), {len(lineage.alerts)} alert(s); "
             f"inspect with 'repro explain-reducer {args.lineage}')"
         )
-    watchdog = getattr(cluster, "watchdog", None)
+    watchdog = observers.watchdog
     if watchdog is not None:
         counts: Dict[str, int] = {}
         for alert in watchdog.alerts:
@@ -259,21 +245,15 @@ def _failure_reason(metrics) -> str:
 def cmd_cube(args) -> int:
     relation = repro_io.read_relation(args.input)
     cluster = _cluster_from_args(args, len(relation))
-    cluster.tracer = _tracer_from_args(args)
-    cluster.telemetry = _telemetry_from_args(args, run_id=args.engine)
-    cluster.lineage = _lineage_from_args(args, run_id=args.engine)
-    cluster.watchdog = _watchdog_from_args(args)
+    observers = cluster.observers = _observers_from_args(args, args.engine)
     engine_cls = ENGINES[args.engine]
     engine = engine_cls(cluster, get_aggregate(args.aggregate))
     try:
         run = engine.compute(relation)
     finally:
-        if cluster.tracer is not None:
-            cluster.tracer.close()
-    if args.trace:
-        print(f"trace written to {args.trace}")
-    _finish_telemetry(cluster, args)
-    _finish_lineage(cluster, args)
+        if observers is not None:
+            observers.close()
+    _finish_observers(observers, args)
 
     if args.output:
         lines = repro_io.write_cube(run.cube, args.output)
@@ -303,10 +283,7 @@ def cmd_cube(args) -> int:
 def cmd_compare(args) -> int:
     relation = _generate_dataset(args.dataset, args.rows, args.skew, args.seed)
     cluster = _cluster_from_args(args, len(relation))
-    cluster.tracer = _tracer_from_args(args)
-    cluster.telemetry = _telemetry_from_args(args, run_id=args.dataset)
-    cluster.lineage = _lineage_from_args(args, run_id=args.dataset)
-    cluster.watchdog = _watchdog_from_args(args)
+    observers = cluster.observers = _observers_from_args(args, args.dataset)
     engines = {
         name: ENGINES[name](cluster, get_aggregate(args.aggregate))
         for name in args.engines
@@ -314,12 +291,9 @@ def cmd_compare(args) -> int:
     try:
         runs = run_algorithms(relation, engines, verify=args.verify)
     finally:
-        if cluster.tracer is not None:
-            cluster.tracer.close()
-    if args.trace:
-        print(f"trace written to {args.trace}\n")
-    _finish_telemetry(cluster, args)
-    _finish_lineage(cluster, args)
+        if observers is not None:
+            observers.close()
+    _finish_observers(observers, args, blank_line=True)
 
     with_faults = args.fault_seed is not None
     header = f"{'engine':12s}{'time(s)':>10s}{'traffic(MB)':>13s}{'status':>10s}"

@@ -57,8 +57,6 @@ from ..mapreduce.engine import (
     stable_hash,
 )
 from ..mapreduce.metrics import RunMetrics
-from ..observability.telemetry import emit_run_telemetry
-from ..observability.tracer import NULL_TRACER, emit_run_span
 from ..relation.lattice import project, projector
 from ..relation.relation import Relation
 from .planner import TuplePlan, plan_for_skew_bits, plan_without_covering
@@ -147,8 +145,6 @@ class SPCube:
         k = self.cluster.num_machines
         m = self.cluster.derive_memory(n)
         metrics = RunMetrics(algorithm=self.name)
-        tracer = self.cluster.tracer or NULL_TRACER
-        run_base = tracer.clock
         # Rounds run through the checkpoint/recovery layer: a node loss
         # resumes from the last completed round instead of killing the
         # run.  The runner owns metrics.jobs appends and shares this
@@ -161,8 +157,7 @@ class SPCube:
         if metrics.jobs and metrics.jobs[-1].aborted:
             # Round 1 exhausted a task's retry budget: the driver aborts
             # the run before the cube round, as a real JobTracker would.
-            emit_run_span(tracer, metrics, run_base)
-            emit_run_telemetry(self.cluster, metrics, dfs=self.dfs)
+            runner.finish(dfs=self.dfs)
             return CubeRun(
                 cube=CubeResult(relation.schema), metrics=metrics,
                 sketch=sketch,
@@ -171,9 +166,9 @@ class SPCube:
         summary = sketch.to_dict()
         metrics.extras["sketch_bytes"] = summary["serialized_bytes"]
         metrics.extras["num_skewed_groups"] = summary["num_skewed"]
-        if tracer.enabled:
-            tracer.event(
-                "sketch", at=tracer.clock, job="sp-sketch",
+        if runner.observers is not None:
+            runner.observers.event(
+                "sketch", job="sp-sketch",
                 fields={
                     "bytes": summary["serialized_bytes"],
                     "skewed_groups": summary["num_skewed"],
@@ -184,8 +179,7 @@ class SPCube:
 
         cube = self._round_two(relation, sketch, k, m, metrics, runner)
         metrics.output_groups = cube.num_groups
-        emit_run_span(tracer, metrics, run_base)
-        emit_run_telemetry(self.cluster, metrics, dfs=self.dfs)
+        runner.finish(dfs=self.dfs)
         return CubeRun(cube=cube, metrics=metrics, sketch=sketch)
 
     # -- round 1: sketch ---------------------------------------------------------
@@ -288,12 +282,8 @@ class SPCube:
             partitioner=partitioner,
             cuboid_of=_spcube_cuboid_of,
         )
-        watchdog = self.cluster.watchdog
-        if (
-            watchdog is not None
-            and watchdog.enabled
-            and self.range_partitioning
-        ):
+        watchdog = runner.observers and runner.observers.watchdog
+        if watchdog is not None and self.range_partitioning:
             # Register the sketch's promise so the watchdog can hold
             # round 2 to it.  Hash-routed ablations skip this: the
             # prediction replays range routing, which no longer matches.

@@ -41,8 +41,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..observability.telemetry import NULL_TELEMETRY
-from ..observability.tracer import NULL_TRACER
 from .cluster import ClusterConfig
 from .dfs import DistributedFileSystem, ReplicaExhausted
 from .engine import JobResult, MapReduceJob, Pair, run_job
@@ -95,7 +93,6 @@ class CheckpointManager:
         job_name: str,
         reducer_outputs: Sequence[Sequence[Pair]],
         clock: float = 0.0,
-        trace_watermark: int = 0,
     ) -> None:
         """Checkpoint a completed round: parts first, manifest last.
 
@@ -114,7 +111,6 @@ class CheckpointManager:
                 "job": job_name,
                 "num_parts": len(reducer_outputs),
                 "clock": clock,
-                "trace_watermark": trace_watermark,
             }],
         )
 
@@ -168,7 +164,9 @@ class RoundRunner:
     run-relative simulated clock (so run-relative node kills land in the
     right round's window), the set of replaced nodes, and the appending
     of each execution's :class:`JobMetrics` — engines must *not* append
-    job metrics themselves when running through it.
+    job metrics themselves when running through it.  It also reports
+    checkpoint writes, round resumes and (via :meth:`finish`) the run end
+    to the cluster's observers.
     """
 
     def __init__(
@@ -199,6 +197,9 @@ class RoundRunner:
         self.replaced: set = set()
         #: Index the next round will be checkpointed under.
         self.round_index = 0
+        self.observers = cluster.observers
+        #: Where this run starts on the observers' logical clock.
+        self.run_base = 0.0 if self.observers is None else self.observers.clock
 
     def run(
         self,
@@ -216,8 +217,7 @@ class RoundRunner:
         """
         index = self.round_index
         self.round_index += 1
-        tracer = self.cluster.tracer or NULL_TRACER
-        telemetry = self.cluster.telemetry or NULL_TELEMETRY
+        observers = self.observers
         completed: Dict[int, List[Pair]] = {}
         for round_attempt in range(self.max_round_attempts):
             result = run_job(
@@ -238,38 +238,12 @@ class RoundRunner:
                 self.metrics.jobs.append(jm)
                 self.clock += jm.total_seconds
                 self.checkpoint.save_round(
-                    index,
-                    job.name,
-                    result.reducer_outputs,
+                    index, job.name, result.reducer_outputs,
                     clock=self.clock,
-                    trace_watermark=getattr(tracer, "_seq", 0),
                 )
-                if self.checkpoint.enabled and tracer.enabled:
-                    tracer.event(
-                        "checkpoint_write", at=tracer.clock, job=job.name,
-                        fields={
-                            "round": index,
-                            "num_parts": len(result.reducer_outputs),
-                            "run_clock": self.clock,
-                        },
-                    )
-                if self.checkpoint.enabled and telemetry.enabled:
-                    # The reduce outputs being checkpointed are exactly
-                    # what the reduce tasks emitted, so their already-
-                    # accounted bytes_out is the checkpoint volume — no
-                    # re-estimation pass over the (possibly huge) cube.
-                    ckpt_bytes = sum(t.bytes_out for t in jm.reduce_tasks)
-                    telemetry.counter(
-                        "repro_checkpoint_writes_total",
-                        "Rounds checkpointed to the DFS",
-                    ).inc()
-                    telemetry.counter(
-                        "repro_checkpoint_bytes_total",
-                        "Reduce-output bytes persisted as checkpoints",
-                    ).inc(ckpt_bytes)
-                    telemetry.sample(
-                        "checkpoint_bytes", ckpt_bytes,
-                        labels={"round": index}, at=telemetry.clock,
+                if self.checkpoint.enabled and observers is not None:
+                    observers.checkpoint_written(
+                        index, jm, len(result.reducer_outputs), self.clock
                     )
                 return result
             resumable = (
@@ -293,28 +267,16 @@ class RoundRunner:
                 completed[part] = pairs
                 self.checkpoint.save_part(index, part, pairs)
             self.replaced.update(jm.dead_nodes)
-            if telemetry.enabled:
-                telemetry.counter(
-                    "repro_round_resumes_total",
-                    "Rounds resumed from a checkpoint after node loss",
-                ).inc()
-                up = telemetry.gauge(
-                    "repro_node_up", "Node liveness (1 = serving, 0 = dead)"
-                )
-                for node in sorted(jm.dead_nodes):
-                    # The dead domain is re-provisioned for the rerun.
-                    up.set(1, labels={"node": node})
-                    telemetry.sample(
-                        "node_up", 1, labels={"node": node},
-                        at=telemetry.clock,
-                    )
-            if tracer.enabled:
-                tracer.event(
-                    "round_resume", at=tracer.clock, job=job.name,
-                    fields={
-                        "round": index,
-                        "salvaged_partitions": sorted(completed),
-                        "replaced_nodes": sorted(jm.dead_nodes),
-                    },
-                )
+            if observers is not None:
+                observers.round_resumed(index, jm, completed)
         raise AssertionError("unreachable: loop always returns")
+
+    def finish(self, dfs: Optional[DistributedFileSystem] = None) -> None:
+        """The run is over: report it to the observers, if any.
+
+        Emits the run span over ``[run_base, run_base + total_seconds]``
+        and the run-level telemetry series; pass ``dfs`` to include the
+        engine's DFS volume in them.
+        """
+        if self.observers is not None:
+            self.observers.end_run(self.metrics, self.run_base, dfs)

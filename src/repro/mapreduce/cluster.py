@@ -114,27 +114,15 @@ class ClusterConfig:
         ``None`` defers to the ``REPRO_PARALLELISM`` environment variable
         (default 1 = serial).  Parallel runs are bit-identical to serial
         ones; see :mod:`repro.mapreduce.executor`.
-    tracer:
-        A :class:`~repro.observability.Tracer` receiving span/event
-        records from every job run on this cluster (``None`` = the
-        zero-overhead null tracer); see :mod:`repro.observability`.
-    telemetry:
-        A :class:`~repro.observability.Telemetry` collector sampling
-        metric series (shuffle bytes, reducer load, node liveness, …)
-        from every job run on this cluster (``None`` = the zero-overhead
-        null telemetry); see :mod:`repro.observability.telemetry`.
-    lineage:
-        A :class:`~repro.observability.LineageRecorder` capturing one
-        shuffle flow edge per (map task, reducer) pair of every job —
-        the flight recorder the ``explain-group`` / ``explain-reducer``
-        queries walk (``None`` = the zero-overhead null recorder); see
-        :mod:`repro.observability.lineage`.
-    watchdog:
-        A :class:`~repro.observability.Watchdog` comparing each round's
-        observed shuffle flows against the sketch-predicted ``n/k + m``
-        band and emitting skew / misannotation / straggler alerts
-        (``None`` = the zero-overhead null watchdog); see
-        :mod:`repro.observability.watchdog`.
+    observers:
+        An :class:`~repro.observability.Observers` hub holding whichever
+        of the four run subscribers are attached — tracer (span/event
+        records), telemetry (metric series), lineage (the shuffle flight
+        recorder) and watchdog (online skew / misannotation / straggler
+        alerts) — and the one logical clock they share.  Every job run
+        on this cluster reports its merge points to the hub.  ``None``
+        (the default) observes nothing and costs one check per task;
+        see :mod:`repro.observability.observers`.
     num_nodes:
         Physical failure domains the ``k`` machine slots are packed onto.
         ``None`` gives every machine its own node — the pre-topology
@@ -157,10 +145,7 @@ class ClusterConfig:
     fault_plan: Optional[FaultPlan] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     parallelism: Optional[int] = None
-    tracer: Optional[object] = None
-    telemetry: Optional[object] = None
-    lineage: Optional[object] = None
-    watchdog: Optional[object] = None
+    observers: Optional[object] = None
     num_nodes: Optional[int] = None
     placement: str = "round-robin"
     checkpoint_enabled: bool = True

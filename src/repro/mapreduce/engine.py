@@ -53,16 +53,16 @@ Injected faults may only change the simulated clock and the fault
 counters; the data flow (and therefore the cube) is bit-identical to a
 fault-free run unless the job aborts.
 
-**Tracing.**  When the cluster carries a
-:class:`~repro.observability.Tracer`, ``run_job`` emits structured span
-and event records onto the simulated timeline: one attempt span per task
-execution, fault events (crash/straggle/speculation), phase spans and a
-job span, plus route/spill detail at debug level.  Task chains buffer
-their records locally (safe in worker processes) and the driver offsets
-and emits them in task-index order, so trace files are bit-identical
-across execution backends.  With no tracer attached the engine touches a
-single ``enabled`` flag per job — metrics and outputs are identical with
-tracing on or off.
+**Observation.**  When the cluster carries an
+:class:`~repro.observability.Observers` hub, ``run_job`` reports every
+merge point to it — job start, each merged map task, the shuffle, each
+merged reduce task, aborts, node losses and the job end — and the hub
+projects them onto whichever tracer, telemetry collector, flight
+recorder and watchdog are attached.  Task chains buffer their trace
+records locally (safe in worker processes) and the merge loops hand them
+over in task-index order, so every artifact is bit-identical across
+execution backends.  With no hub attached the engine pays one ``None``
+check per task — metrics and outputs are identical either way.
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ from typing import (
     Tuple,
 )
 
-from ..observability.lineage import NULL_LINEAGE
-from ..observability.telemetry import NULL_TELEMETRY, SECONDS_BUCKETS
-from ..observability.tracer import (
-    LEVEL_DEBUG,
-    LEVEL_TASK,
-    NULL_TRACER,
-)
-from ..observability.watchdog import NULL_WATCHDOG
 from .cluster import ClusterConfig
 from .costmodel import CostModel
 from .executor import SerialExecutor, TaskOutcome, run_task_chain
@@ -874,39 +866,20 @@ def _run_job(
         executor = SerialExecutor()
     metrics.executor = executor.name
 
-    tracer = cluster.tracer or NULL_TRACER
-    trace_on = tracer.enabled
-    trace_tasks = trace_on and tracer.level >= LEVEL_TASK
-    trace_debug = trace_on and tracer.level >= LEVEL_DEBUG
-    job_base = tracer.clock
-    telemetry = cluster.telemetry or NULL_TELEMETRY
-    telem_on = telemetry.enabled
-    # Telemetry keeps its own logical clock: the tracer's only advances
-    # when tracing is on, and sample times must not depend on whether a
-    # trace sink happens to be attached.
-    telem_base = telemetry.clock
-    lineage = cluster.lineage or NULL_LINEAGE
-    watchdog = cluster.watchdog or NULL_WATCHDOG
-    # One flow record per job feeds both the flight recorder and the
-    # watchdog; built from the driver-side merge loops (task-index
-    # order), so it is bit-identical across execution backends.
-    flow_job: Optional[Dict] = None
-    if lineage.enabled or watchdog.enabled:
-        flow_job = {
-            "job": job.name,
-            "num_reducers": num_reducers,
-            "map_tasks": len(input_chunks),
-            "memory_records": memory_records,
-            "completed_reducers": (
-                sorted(completed_reducers) if completed_reducers else []
-            ),
-            "maps": [],
-            "flows": [],
-            "reduces": [],
-        }
-        if lineage.enabled:
-            lineage.begin_job(flow_job)
-    cuboid_cache: Dict[object, Optional[int]] = {}
+    # The observation hub, when one is attached, sees every merge point
+    # below in task-index order; ``None`` costs one check per task.
+    observers = cluster.observers
+    watch = None
+    if observers is not None:
+        watch = observers.begin_job(
+            job,
+            num_reducers=num_reducers,
+            map_tasks=len(input_chunks),
+            memory_records=memory_records,
+            completed_reducers=completed_reducers,
+            startup_seconds=cost.round_startup_seconds,
+        )
+    trace_tasks = watch is not None and watch.trace_tasks
 
     # Node kills landing in this round's window, as job-relative times.
     # A pure function of (plan, job name, run clock), so serial and
@@ -938,48 +911,29 @@ def _run_job(
     outcomes = executor.run_tasks(map_tasks, stop_early=_chain_exhausted)
     metrics.map_phase_wall_seconds = time.perf_counter() - phase_started
 
-    map_start = job_base + cost.round_startup_seconds
     reducer_buckets: List[List[Pair]] = [[] for _ in range(num_reducers)]
     reducer_bytes = [0] * num_reducers
     dead_chain_seconds = 0.0
     for machine, outcome in enumerate(outcomes):
         _merge_outcome(metrics, outcome)
-        if trace_tasks:
-            _emit_chain_trace(tracer, outcome, map_start)
-        if outcome.task is None:
+        if watch is not None:
+            watch.map_task(machine, outcome)
+        task = outcome.task
+        if task is None:
             metrics.aborted = True
             metrics.abort_reason = (
                 f"map task {machine} exhausted "
                 f"{retry.max_attempts} attempts"
             )
             dead_chain_seconds = outcome.chain_seconds
-            if trace_on:
-                tracer.event(
-                    "abort", at=map_start + outcome.chain_seconds,
-                    job=job.name, phase="map", task=machine,
-                    fields={"reason": metrics.abort_reason},
+            if watch is not None:
+                watch.abort(
+                    "map", machine, dead_chain_seconds, metrics.abort_reason
                 )
             break
-        task = outcome.task
         for target, pairs, shard_bytes in outcome.payload:
             reducer_buckets[target].extend(pairs)
             reducer_bytes[target] += shard_bytes
-        if flow_job is not None:
-            _record_flows(
-                flow_job, machine, outcome.payload, job.cuboid_of,
-                cuboid_cache,
-            )
-            flow_job["maps"].append({
-                "task": machine,
-                "records_in": task.records_in,
-                "records_out": task.records_out,
-                "seconds": round(task.seconds, 9),
-            })
-        if trace_debug:
-            _emit_route_event(
-                tracer, job.name, machine, outcome.payload,
-                map_start + task.seconds,
-            )
         metrics.map_tasks.append(task)
         metrics.map_output_bytes += task.bytes_out
         metrics.map_output_records += task.records_out
@@ -988,42 +942,21 @@ def _run_job(
         max((t.seconds for t in metrics.map_tasks), default=0.0),
         dead_chain_seconds,
     )
-    if trace_on:
-        _emit_phase_span(tracer, job.name, "map", job_base, metrics)
+    if watch is not None:
+        watch.map_phase(metrics)
 
     if metrics.aborted:
         metrics.total_seconds = metrics.map_phase_seconds
-        _record_node_losses(
-            tracer, trace_on, metrics, node_kills, topology,
-            job_base, job.name, telemetry, telem_base,
-        )
-        if trace_on:
-            _finish_job_trace(tracer, job.name, metrics, job_base)
-        if flow_job is not None:
-            _finish_flow_job(
-                flow_job, metrics, lineage, watchdog, tracer, telemetry,
-                job_base,
-            )
-        if telem_on:
-            _sample_job_telemetry(
-                telemetry, job, metrics, telem_base, executor
-            )
-            telemetry.advance(metrics.total_seconds)
+        _record_node_losses(metrics, node_kills)
+        if watch is not None:
+            watch.finish(metrics, node_kills, topology, executor)
         return JobResult(output=[], metrics=metrics, reducer_outputs=[])
 
     # ---- shuffle ----------------------------------------------------------
-    metrics.shuffle_seconds = cost.shuffle_seconds(
-        max(reducer_bytes, default=0)
-    )
-    if trace_on:
-        tracer.event(
-            "shuffle", at=job_base + metrics.map_phase_seconds,
-            job=job.name,
-            fields={
-                "seconds": metrics.shuffle_seconds,
-                "max_reducer_bytes": max(reducer_bytes, default=0),
-            },
-        )
+    max_reducer_bytes = max(reducer_bytes, default=0)
+    metrics.shuffle_seconds = cost.shuffle_seconds(max_reducer_bytes)
+    if watch is not None:
+        watch.shuffle(metrics, max_reducer_bytes)
 
     # ---- reduce phase -----------------------------------------------------
     physical = cluster.physical_memory(memory_records)
@@ -1049,52 +982,30 @@ def _run_job(
     outcomes = executor.run_tasks(reduce_tasks, stop_early=_chain_exhausted)
     metrics.reduce_phase_wall_seconds = time.perf_counter() - phase_started
 
-    reduce_base = job_base + metrics.map_phase_seconds + metrics.shuffle_seconds
-    reduce_start = reduce_base + cost.round_startup_seconds
     merged_outputs: Dict[int, List[Pair]] = dict(completed)
     dead_chain_seconds = 0.0
     for machine, outcome in zip(reduce_machines, outcomes):
         _merge_outcome(metrics, outcome)
-        if trace_tasks:
-            _emit_chain_trace(tracer, outcome, reduce_start)
-        if outcome.task is None:
+        if watch is not None:
+            watch.reduce_task(machine, outcome)
+        task = outcome.task
+        if task is None:
             metrics.aborted = True
             metrics.abort_reason = (
                 f"reduce task {machine} exhausted "
                 f"{retry.max_attempts} attempts"
             )
             dead_chain_seconds = outcome.chain_seconds
-            if trace_on:
-                tracer.event(
-                    "abort", at=reduce_start + outcome.chain_seconds,
-                    job=job.name, phase="reduce", task=machine,
-                    fields={"reason": metrics.abort_reason},
+            if watch is not None:
+                watch.abort(
+                    "reduce", machine, dead_chain_seconds,
+                    metrics.abort_reason,
                 )
             break
         reducer_output, oom_flagged = outcome.payload
-        task = outcome.task
         if oom_flagged:
             metrics.oom_reducers.append(machine)
-            if trace_on:
-                tracer.event(
-                    "oom", at=reduce_start + task.seconds,
-                    job=job.name, phase="reduce", task=machine,
-                    fields={"records_in": task.records_in},
-                )
-        if trace_debug and task.spilled_records:
-            tracer.event(
-                "spill", at=reduce_start + task.seconds,
-                job=job.name, phase="reduce", task=machine,
-                fields={"records": task.spilled_records},
-            )
         metrics.reduce_tasks.append(task)
-        if flow_job is not None:
-            flow_job["reduces"].append({
-                "task": machine,
-                "records_in": task.records_in,
-                "records_out": task.records_out,
-                "seconds": round(task.seconds, 9),
-            })
         merged_outputs[machine] = reducer_output
 
     metrics.reduce_phase_seconds = cost.round_startup_seconds + max(
@@ -1106,21 +1017,9 @@ def _run_job(
         + metrics.shuffle_seconds
         + metrics.reduce_phase_seconds
     )
-    _record_node_losses(
-        tracer, trace_on, metrics, node_kills, topology, job_base, job.name,
-        telemetry, telem_base,
-    )
-    if trace_on:
-        _emit_phase_span(tracer, job.name, "reduce", reduce_base, metrics)
-        _finish_job_trace(tracer, job.name, metrics, job_base)
-    if flow_job is not None:
-        _finish_flow_job(
-            flow_job, metrics, lineage, watchdog, tracer, telemetry,
-            job_base,
-        )
-    if telem_on:
-        _sample_job_telemetry(telemetry, job, metrics, telem_base, executor)
-        telemetry.advance(metrics.total_seconds)
+    _record_node_losses(metrics, node_kills)
+    if watch is not None:
+        watch.finish(metrics, node_kills, topology, executor)
     if metrics.aborted:
         # Partitions merged before the dead chain (plus checkpointed
         # skips) are salvageable by the round runner.
@@ -1138,107 +1037,8 @@ def _run_job(
     )
 
 
-def _record_flows(
-    flow_job: Dict,
-    machine: int,
-    payload,
-    cuboid_of: Optional[Callable],
-    cuboid_cache: Dict,
-) -> None:
-    """Record one map task's shuffle edges into the job's flow record.
-
-    One flow per ``(map task, reducer)`` pair, in the shard order
-    :func:`_route_pairs` produced (first-seen target order) — the same
-    deterministic order the merge loop consumes, so lineage artifacts
-    are bit-identical across execution backends.  The cuboid breakdown
-    is classified through a per-job equality-keyed cache: emission keys
-    repeat heavily (and the hot engines intern them), so the common case
-    is one dict probe per pair.
-    """
-    flows = flow_job["flows"]
-    cache_get = cuboid_cache.get
-    for target, pairs, shard_bytes in payload:
-        cuboids: Dict[int, int] = {}
-        if cuboid_of is not None:
-            for key, _value in pairs:
-                mask = cache_get(key)
-                if mask is None:
-                    mask = cuboid_of(key)
-                    cuboid_cache[key] = mask
-                cuboids[mask] = cuboids.get(mask, 0) + 1
-        flows.append({
-            "map_task": machine,
-            "reducer": target,
-            "records": len(pairs),
-            "bytes": shard_bytes,
-            "cuboids": cuboids,
-        })
-
-
-def _finish_flow_job(
-    flow_job: Dict,
-    metrics: JobMetrics,
-    lineage,
-    watchdog,
-    tracer,
-    telemetry,
-    job_base: float,
-) -> None:
-    """Close out a job's flow record: collect it, inspect it, surface it.
-
-    The lineage recorder keeps the record and advances its own clock;
-    the watchdog inspects the flows and its alerts fan out to the trace
-    (typed events → ProgressSink lines), the telemetry alert counter,
-    and the lineage artifact's alert stream.
-    """
-    lin_on = lineage.enabled
-    job_end = job_base + metrics.total_seconds
-    if lin_on:
-        lineage.finish_job(flow_job, metrics)
-        lineage.advance(metrics.total_seconds)
-        if tracer.enabled:
-            flows = flow_job["flows"]
-            tracer.event(
-                "lineage", at=job_end, job=flow_job["job"],
-                fields={
-                    "execution": flow_job.get("execution", 0),
-                    "flows": len(flows),
-                    "records": sum(flow["records"] for flow in flows),
-                    "bytes": sum(flow["bytes"] for flow in flows),
-                },
-            )
-    if watchdog.enabled:
-        alerts = watchdog.inspect_job(flow_job, metrics)
-        watchdog.advance(metrics.total_seconds)
-        for alert in alerts:
-            if lin_on:
-                lineage.alerts.append(alert)
-            if tracer.enabled:
-                fields = {
-                    name: value for name, value in alert.items()
-                    if name not in ("type", "kind", "job", "at")
-                }
-                tracer.event(
-                    alert["kind"], at=job_end, job=alert["job"],
-                    fields=fields,
-                )
-            if telemetry.enabled:
-                telemetry.counter(
-                    "repro_watchdog_alerts_total",
-                    "Watchdog alerts emitted, by kind",
-                ).inc(labels={"kind": alert["kind"]})
-
-
 def _record_node_losses(
-    tracer,
-    trace_on: bool,
-    metrics: JobMetrics,
-    node_kills: Dict[int, float],
-    topology,
-    job_base: float,
-    job_name: str,
-    telemetry=NULL_TELEMETRY,
-    telem_base: float = 0.0,
+    metrics: JobMetrics, node_kills: Dict[int, float]
 ) -> None:
     """Fold the kills that actually fired into the round's metrics.
 
@@ -1246,216 +1046,14 @@ def _record_node_losses(
     window ``[0, total_seconds)``; a later instant belongs to a later
     round (the run clock will eventually contain it).  Fired nodes land
     in ``metrics.dead_nodes`` — the signal the checkpoint layer keys its
-    resume decision on — and each emits one ``node_lost`` trace event.
+    resume decision on.
     """
-    if not node_kills:
-        return
-    fired = sorted(
-        node
-        for node, at in node_kills.items()
-        if at < metrics.total_seconds
-    )
-    metrics.dead_nodes = fired
-    if trace_on:
-        for node in fired:
-            tracer.event(
-                "node_lost", at=job_base + node_kills[node], job=job_name,
-                fields={
-                    "node": node,
-                    "machines": list(topology.machines_on(node)),
-                },
-            )
-    if telemetry.enabled and fired:
-        lost = telemetry.counter(
-            "repro_nodes_lost_total", "Failure domains lost to node kills"
+    if node_kills:
+        metrics.dead_nodes = sorted(
+            node
+            for node, at in node_kills.items()
+            if at < metrics.total_seconds
         )
-        up = telemetry.gauge(
-            "repro_node_up", "Node liveness (1 = serving, 0 = dead)"
-        )
-        for node in fired:
-            lost.inc()
-            up.set(0, labels={"node": node})
-            telemetry.sample(
-                "node_up", 0, labels={"node": node},
-                at=telem_base + node_kills[node],
-            )
-
-
-def _emit_chain_trace(tracer, outcome: TaskOutcome, phase_start: float) -> None:
-    """Shift a chain's buffered records onto the timeline and emit them.
-
-    Chains buffer records with chain-relative times (they may have run in
-    a worker process); the driver calls this in task-index order, so the
-    trace stream is bit-identical across execution backends.
-    """
-    for record in outcome.trace or ():
-        if record["type"] == "span":
-            record["t0"] += phase_start
-            record["t1"] += phase_start
-        else:
-            record["at"] += phase_start
-        tracer.emit(record)
-
-
-def _emit_route_event(
-    tracer, job_name: str, machine: int, payload, at: float
-) -> None:
-    """Debug-level shuffle routing summary for one map task.
-
-    Shards arrive in first-seen target order — the same insertion order
-    the historical per-pair counting loop produced, so traces are
-    byte-identical to the unsharded engine's.
-    """
-    targets: Dict[str, int] = {}
-    for target, pairs, _shard_bytes in payload:
-        targets[str(target)] = len(pairs)
-    tracer.event(
-        "route", at=at, job=job_name, phase="map", task=machine,
-        fields={"targets": targets},
-    )
-
-
-def _emit_phase_span(
-    tracer, job_name: str, phase: str, base: float, metrics: JobMetrics
-) -> None:
-    tasks = metrics.map_tasks if phase == "map" else metrics.reduce_tasks
-    seconds = (
-        metrics.map_phase_seconds
-        if phase == "map"
-        else metrics.reduce_phase_seconds
-    )
-    tracer.span(
-        "phase", name=phase, job=job_name, phase=phase,
-        t0=base, t1=base + seconds,
-        status="aborted" if metrics.aborted else "ok",
-        counters={
-            "tasks": len(tasks),
-            "records_out": sum(t.records_out for t in tasks),
-            "bytes_out": sum(t.bytes_out for t in tasks),
-        },
-    )
-
-
-def _finish_job_trace(
-    tracer, job_name: str, metrics: JobMetrics, job_base: float
-) -> None:
-    """Emit the round's job span and advance the simulated clock."""
-    if metrics.aborted:
-        status = "aborted"
-    elif metrics.failed:
-        status = "failed"
-    else:
-        status = "ok"
-    tracer.span(
-        "job", name=job_name, job=job_name,
-        t0=job_base, t1=job_base + metrics.total_seconds, status=status,
-        counters={
-            "map_output_records": metrics.map_output_records,
-            "map_output_bytes": metrics.map_output_bytes,
-            "attempts": metrics.attempts,
-            "killed_tasks": metrics.killed_tasks,
-            "speculative_wins": metrics.speculative_wins,
-            "recovered": metrics.recovered,
-            "oom_reducers": len(metrics.oom_reducers),
-        },
-    )
-    tracer.advance(metrics.total_seconds)
-
-
-def _sample_job_telemetry(
-    telemetry, job: MapReduceJob, metrics: JobMetrics, telem_base: float,
-    executor,
-) -> None:
-    """Record one finished round's metric series and registry updates.
-
-    Called once per job with ``telemetry.enabled`` already checked by the
-    caller.  Every ``"sim"``-source sample here is a pure function of the
-    job metrics and the logical clock, so serial and parallel backends
-    record bit-identical points; backend- and wall-clock-dependent
-    quantities (executor shape, phase wall seconds, driver RSS) are
-    tagged ``"host"`` and excluded from identity comparisons.
-    """
-    from ..observability.telemetry import driver_rss_bytes
-
-    name = job.name
-    labels = {"job": name}
-    t_map = telem_base + metrics.map_phase_seconds
-    t_shuffle = t_map + metrics.shuffle_seconds
-    t_end = telem_base + metrics.total_seconds
-
-    telemetry.counter(
-        "repro_jobs_total", "MapReduce rounds executed"
-    ).inc(labels=labels)
-    telemetry.counter(
-        "repro_shuffle_bytes_total", "Bytes shuffled from map to reduce"
-    ).inc(metrics.map_output_bytes, labels=labels)
-    telemetry.counter(
-        "repro_shuffle_records_total", "Pairs shuffled from map to reduce"
-    ).inc(metrics.map_output_records, labels=labels)
-    telemetry.counter(
-        "repro_task_attempts_total", "Task attempts including retries"
-    ).inc(metrics.attempts, labels=labels)
-    if metrics.killed_tasks:
-        telemetry.counter(
-            "repro_tasks_killed_total", "Attempts killed by injected faults"
-        ).inc(metrics.killed_tasks, labels=labels)
-
-    phase_hist = telemetry.histogram(
-        "repro_phase_seconds", "Simulated seconds per phase",
-        buckets=SECONDS_BUCKETS,
-    )
-    for phase, seconds in (
-        ("map", metrics.map_phase_seconds),
-        ("shuffle", metrics.shuffle_seconds),
-        ("reduce", metrics.reduce_phase_seconds),
-    ):
-        phase_hist.observe(seconds, labels={"phase": phase})
-    reduce_hist = telemetry.histogram(
-        "repro_reduce_task_records", "Input records per reduce task"
-    )
-    for task in metrics.reduce_tasks:
-        reduce_hist.observe(task.records_in, labels=labels)
-
-    telemetry.sample("shuffle_bytes", metrics.map_output_bytes,
-                     labels=labels, at=t_map)
-    telemetry.sample("shuffle_records", metrics.map_output_records,
-                     labels=labels, at=t_map)
-    telemetry.sample("phase_seconds", metrics.map_phase_seconds,
-                     labels={"job": name, "phase": "map"}, at=t_map)
-    telemetry.sample("phase_seconds", metrics.shuffle_seconds,
-                     labels={"job": name, "phase": "shuffle"}, at=t_shuffle)
-    telemetry.sample("phase_seconds", metrics.reduce_phase_seconds,
-                     labels={"job": name, "phase": "reduce"}, at=t_end)
-    for task in metrics.reduce_tasks:
-        telemetry.sample(
-            "reducer_records", task.records_in,
-            labels={"job": name, "task": task.machine}, at=t_end,
-        )
-
-    # Host-side diagnostics: real memory, real time, backend shape.
-    wall = metrics.map_phase_wall_seconds + metrics.reduce_phase_wall_seconds
-    telemetry.sample("job_wall_seconds", wall, labels=labels,
-                     at=t_end, source="host")
-    stats = getattr(executor, "last_run_stats", None)
-    if stats:
-        telemetry.gauge(
-            "repro_executor_queue_depth",
-            "Batches waiting behind busy workers in the last phase",
-        ).set(stats["max_queue_depth"], labels={"backend": stats["backend"]})
-        telemetry.gauge(
-            "repro_executor_inflight_batches",
-            "Batches concurrently in flight in the last phase",
-        ).set(stats["max_in_flight"], labels={"backend": stats["backend"]})
-        telemetry.sample("executor_queue_depth", stats["max_queue_depth"],
-                         labels=labels, at=t_end, source="host")
-        telemetry.sample("executor_inflight_batches", stats["max_in_flight"],
-                         labels=labels, at=t_end, source="host")
-    rss = driver_rss_bytes()
-    if rss is not None:
-        telemetry.gauge(
-            "repro_driver_rss_bytes", "Peak driver resident-set size"
-        ).set(rss)
-        telemetry.sample("driver_rss_bytes", rss, at=t_end, source="host")
 
 
 def _apply_combiner(

@@ -23,17 +23,22 @@ that post-hoc aggregates cannot show.  This package provides:
   (:mod:`repro.observability.lineage` / ``.explain``);
 * :class:`Watchdog` — online skew / misannotation / straggler alerts
   comparing observed flows against the sketch's ``n/k + m`` promise
-  (:mod:`repro.observability.watchdog`).
+  (:mod:`repro.observability.watchdog`);
+* :class:`Observers` — the one hub a cluster carries: it holds whichever
+  of those four subscribers are attached and the single logical clock
+  they all stamp (:mod:`repro.observability.observers`).
 
-Attach a tracer to a :class:`~repro.mapreduce.ClusterConfig` and every
-job run on that cluster is traced::
+Attach a hub to a :class:`~repro.mapreduce.ClusterConfig` and every job
+run on that cluster is observed::
 
-    from repro.observability import JsonlSink, Tracer
+    from repro.observability import JsonlSink, Observers, Tracer
 
-    tracer = Tracer([JsonlSink("run.trace.jsonl")], level="task")
-    cluster = ClusterConfig(num_machines=20, tracer=tracer)
+    observers = Observers(
+        tracer=Tracer([JsonlSink("run.trace.jsonl")], level="task")
+    )
+    cluster = ClusterConfig(num_machines=20, observers=observers)
     SPCube(cluster).compute(relation)
-    tracer.close()
+    observers.close()
 
 or use the CLI: ``python -m repro cube data.tsv --trace run.trace.jsonl``
 then ``python -m repro analyze-trace run.trace.jsonl``.
@@ -69,37 +74,28 @@ from .explain import (
 from .lineage import (
     LINEAGE_RECORD_TYPES,
     LINEAGE_VERSION,
-    NULL_LINEAGE,
     LineageRecorder,
-    NullLineage,
     cuboid_of_mask_key,
-    lineage_of,
     load_lineage,
 )
 from .telemetry import (
     DEFAULT_BUCKETS,
-    NULL_TELEMETRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullTelemetry,
     Telemetry,
     check_prometheus_text,
     driver_rss_bytes,
-    emit_run_telemetry,
-    telemetry_of,
 )
+from .observers import JobObservation, Observers
 from .timeline import TimelineAnalysis, TimelineError
 from .watchdog import (
     ALERT_KINDS,
-    NULL_WATCHDOG,
     SKEW_TOLERANCE,
     STRAGGLER_FACTOR,
-    NullWatchdog,
     Watchdog,
     WatchdogExpectation,
-    watchdog_of,
 )
 from .schema import (
     EVENT_KINDS,
@@ -115,14 +111,11 @@ from .tracer import (
     LEVEL_JOB,
     LEVEL_OFF,
     LEVEL_TASK,
-    NULL_TRACER,
     JsonlSink,
     MemorySink,
-    NullTracer,
     ProgressSink,
     Tracer,
     attempt_counters,
-    emit_run_span,
     level_from_name,
 )
 
@@ -153,27 +146,22 @@ __all__ = [
     "LEVEL_JOB",
     "LEVEL_OFF",
     "LEVEL_TASK",
-    "NULL_TRACER",
     "JsonlSink",
     "MemorySink",
-    "NullTracer",
     "ProgressSink",
     "Tracer",
     "attempt_counters",
-    "emit_run_span",
     "level_from_name",
     "DEFAULT_BUCKETS",
-    "NULL_TELEMETRY",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullTelemetry",
     "Telemetry",
     "check_prometheus_text",
     "driver_rss_bytes",
-    "emit_run_telemetry",
-    "telemetry_of",
+    "JobObservation",
+    "Observers",
     "TimelineAnalysis",
     "TimelineError",
     "ExplainError",
@@ -184,18 +172,12 @@ __all__ = [
     "parse_cuboid",
     "LINEAGE_RECORD_TYPES",
     "LINEAGE_VERSION",
-    "NULL_LINEAGE",
     "LineageRecorder",
-    "NullLineage",
     "cuboid_of_mask_key",
-    "lineage_of",
     "load_lineage",
     "ALERT_KINDS",
-    "NULL_WATCHDOG",
     "SKEW_TOLERANCE",
     "STRAGGLER_FACTOR",
-    "NullWatchdog",
     "Watchdog",
     "WatchdogExpectation",
-    "watchdog_of",
 ]

@@ -655,6 +655,7 @@ def run_doctor(
     from ..baselines import HiveCube, MRCube, NaiveCube, PipeSortMR
     from ..core import SPCube
     from ..datagen import gen_binomial, gen_zipf
+    from .observers import Observers
     from .tracer import MemorySink, Tracer
 
     engine_registry = {
@@ -713,11 +714,9 @@ def run_doctor(
         spcube_analysis = None
         for name in engine_names:
             sink = MemorySink()
-            tracer = Tracer([sink], level="task")
             cluster = paper_cluster(rows, num_machines=machines)
-            cluster.tracer = tracer
+            cluster.observers = Observers(tracer=Tracer([sink], level="task"))
             run = engine_registry[name](cluster, Count()).compute(relation)
-            tracer.close()
             metrics = run.metrics
             engine_rows[name] = {
                 "total_seconds": round(metrics.total_seconds, 2),

@@ -16,11 +16,9 @@ Like the tracer and the telemetry collector, the recorder is:
   task-index-order merge loop, never from workers, so the artifact is
   bit-identical between the serial and parallel backends (including
   under injected task and node faults);
-* **logical-clock stamped** — the recorder keeps its own simulated
-  clock, advanced per job by the engine, so job records carry ``t0``
-  independent of whether a tracer or telemetry collector is attached;
-* **a null object by default** — :data:`NULL_LINEAGE` makes a detached
-  run pay a single attribute check.
+* **logical-clock stamped** — job records carry ``t0`` from the
+  observation hub's one clock (:mod:`repro.observability.observers`),
+  the same clock every other subscriber stamps.
 
 Re-executed rounds (the checkpoint layer's node-loss resume) appear as
 distinct *executions* of the same job name; salvaged partitions that did
@@ -37,7 +35,7 @@ records, then the watchdog's ``alert`` records (if a watchdog ran).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Artifact format version, bumped on incompatible record changes.
 LINEAGE_VERSION = 1
@@ -63,70 +61,40 @@ def cuboid_of_mask_key(key):
     return key[0]
 
 
-class NullLineage:
-    """The zero-overhead default: every operation is a no-op."""
-
-    enabled = False
-    clock = 0.0
-
-    def begin_job(self, flow_job: Dict) -> None:
-        pass
-
-    def finish_job(self, flow_job: Dict, metrics) -> None:
-        pass
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-
-#: Shared no-op recorder; safe because it carries no state.
-NULL_LINEAGE = NullLineage()
-
-
 class LineageRecorder:
     """Accumulate per-job shuffle flows into one deterministic artifact.
 
-    The engine builds one *flow job* dict per round (see
-    ``repro.mapreduce.engine._run_job``) holding ``maps`` / ``flows`` /
+    The observation hub builds one *flow job* dict per round (see
+    :class:`~repro.observability.observers.JobObservation`) holding ``maps`` / ``flows`` /
     ``reduces`` lists in merge order; the recorder stamps it with an
     execution index and a logical start time, collects it on finish, and
     serializes everything with sorted keys so two runs that did the same
     work produce byte-identical files.
     """
 
-    enabled = True
-
     def __init__(self, run_id: str = "run"):
         self.run_id = run_id
-        #: Cumulative simulated seconds recorded so far (independent of
-        #: the tracer/telemetry clocks — see the telemetry module's
-        #: clock-independence rationale).
-        self.clock = 0.0
         #: Finished flow-job dicts, in completion order.
         self.jobs: List[Dict] = []
-        #: Watchdog alert dicts, in emission order (engine-appended).
+        #: Watchdog alert dicts, in emission order (hub-appended).
         self.alerts: List[Dict] = []
         self._executions: Dict[str, int] = {}
 
     # -- recording (engine-facing) -------------------------------------------
 
-    def begin_job(self, flow_job: Dict) -> None:
+    def begin_job(self, flow_job: Dict, t0: float) -> None:
         """Stamp a new flow job with its execution index and start time."""
         name = flow_job["job"]
         execution = self._executions.get(name, 0)
         self._executions[name] = execution + 1
         flow_job["execution"] = execution
-        flow_job["t0"] = round(self.clock, 9)
+        flow_job["t0"] = round(t0, 9)
 
     def finish_job(self, flow_job: Dict, metrics) -> None:
         """Collect a completed (or aborted) flow job."""
         flow_job["seconds"] = round(metrics.total_seconds, 9)
         flow_job["aborted"] = metrics.aborted
         self.jobs.append(flow_job)
-
-    def advance(self, seconds: float) -> None:
-        """Advance the recorder's simulated clock (one round finished)."""
-        self.clock += seconds
 
     # -- serialization -------------------------------------------------------
 
@@ -190,14 +158,6 @@ class LineageRecorder:
                 handle.write(json.dumps(record, sort_keys=True))
                 handle.write("\n")
         return path
-
-
-def lineage_of(cluster) -> Optional["LineageRecorder"]:
-    """The cluster's lineage recorder when one is attached and enabled."""
-    recorder = getattr(cluster, "lineage", None)
-    if recorder is not None and recorder.enabled:
-        return recorder
-    return None
 
 
 def load_lineage(path) -> List[Dict]:

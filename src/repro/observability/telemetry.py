@@ -13,10 +13,10 @@ Three pieces:
   :class:`Histogram` instruments with Prometheus-style labels and fixed
   bucket schemas, serializable to/from plain dicts and renderable as
   Prometheus text exposition (:meth:`MetricsRegistry.prometheus_text`).
-* :class:`Telemetry` — the sampling collector threaded through the engine:
-  it owns a registry, a logical clock mirroring the tracer's simulated
-  clock, and a timeline of ``(series, t, value, labels, source)`` samples
-  taken on a logical-clock cadence.  :meth:`Telemetry.write_timeline`
+* :class:`Telemetry` — the sampling collector the observation hub
+  (:mod:`repro.observability.observers`) feeds: it owns a registry and a
+  timeline of ``(series, t, value, labels, source)`` samples stamped on
+  the hub's logical clock and thinned on a logical-clock cadence.  :meth:`Telemetry.write_timeline`
   writes the JSONL artifact that :class:`~repro.observability.timeline.\
 TimelineAnalysis` and ``python -m repro metrics-export`` consume.
 * :func:`check_prometheus_text` — a hand-rolled line-format checker for
@@ -31,10 +31,9 @@ wall seconds, executor queue depth, broadcast cache hits) and are
 excluded from identity comparisons, exactly like the ``executor`` and
 wall-clock fields of :class:`~repro.mapreduce.metrics.JobMetrics`.
 
-**Overhead.**  The default everywhere is the :data:`NULL_TELEMETRY`
-singleton whose ``enabled`` flag is False; hot paths guard every
-instrumentation point with a single attribute check, so a telemetry-off
-run does no per-sample work at all.
+**Overhead.**  A collector is attached through an
+:class:`~repro.observability.observers.Observers` hub; without one the
+engine takes no sample at all.
 """
 
 from __future__ import annotations
@@ -353,68 +352,8 @@ class MetricsRegistry:
         return registry
 
 
-class _NullInstrument:
-    """Accepts every instrument operation and records nothing."""
-
-    def inc(self, amount: float = 1.0, labels=None) -> None:
-        pass
-
-    def set(self, value: float, labels=None) -> None:
-        pass
-
-    def observe(self, value: float, labels=None) -> None:
-        pass
-
-    def value(self, labels=None) -> float:
-        return 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullTelemetry:
-    """The zero-overhead default: every operation is a no-op.
-
-    Mirrors :class:`~repro.observability.tracer.NullTracer` — ``enabled``
-    is False so instrumentation points skip even building a sample with
-    one attribute check.  The instrument accessors hand back a shared
-    no-op instrument rather than ``None``, so code that skips the
-    ``enabled`` guard still cannot crash on the null object.
-    """
-
-    enabled = False
-    clock = 0.0
-
-    def sample(self, series: str, value: float, labels=None, at=None,
-               source: str = SOURCE_SIM) -> None:
-        pass
-
-    def counter(self, name: str, help: str = ""):
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = ""):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS):
-        return _NULL_INSTRUMENT
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-    def write_timeline(self, path) -> None:
-        pass
-
-    def prometheus_text(self) -> str:
-        return ""
-
-
-#: Shared no-op telemetry; safe because it carries no state.
-NULL_TELEMETRY = NullTelemetry()
-
-
 class Telemetry:
-    """Sampling collector: a registry plus a logical-clock timeline.
+    """Sampling collector: a registry plus a logical-time timeline.
 
     Parameters
     ----------
@@ -428,17 +367,12 @@ class Telemetry:
         Free-form identifier stamped into the timeline header.
     """
 
-    enabled = True
-
     def __init__(self, cadence: float = 0.0, run_id: str = ""):
         if cadence < 0:
             raise ValueError("cadence must be >= 0")
         self.cadence = float(cadence)
         self.run_id = run_id
         self.registry = MetricsRegistry()
-        #: Cumulative simulated seconds, advanced in lockstep with the
-        #: tracer clock by :func:`repro.mapreduce.engine.run_job`.
-        self.clock = 0.0
         self.samples: List[Dict] = []
         self._last_sample_at: Dict[Tuple[str, _LabelsKey], float] = {}
         self._dropped = 0
@@ -446,14 +380,13 @@ class Telemetry:
     # -- collection ----------------------------------------------------
 
     def sample(self, series: str, value: float,
-               labels: Optional[Dict[str, str]] = None,
-               at: Optional[float] = None,
-               source: str = SOURCE_SIM) -> None:
-        """Record one timeline point for ``series`` at logical time ``at``
-        (default: the current logical clock), subject to the cadence."""
+               labels: Optional[Dict[str, str]] = None, *,
+               at: float, source: str = SOURCE_SIM) -> None:
+        """Record one timeline point for ``series`` at logical time ``at``,
+        subject to the cadence."""
         if source not in SOURCES:
             raise ValueError(f"unknown sample source {source!r}")
-        t = self.clock if at is None else float(at)
+        t = float(at)
         key = (series, _labels_key(labels))
         if self.cadence > 0.0:
             last = self._last_sample_at.get(key)
@@ -477,10 +410,6 @@ class Telemetry:
                   buckets: Iterable[float] = DEFAULT_BUCKETS) -> Histogram:
         return self.registry.histogram(name, help, buckets)
 
-    def advance(self, seconds: float) -> None:
-        """Advance the logical clock (one job/round finished)."""
-        self.clock += seconds
-
     @property
     def dropped_samples(self) -> int:
         """Samples suppressed by the cadence (for overhead accounting)."""
@@ -491,21 +420,25 @@ class Telemetry:
     def prometheus_text(self) -> str:
         return self.registry.prometheus_text()
 
-    def timeline_records(self) -> List[Dict]:
-        """The full JSONL payload: header, samples, final registry dump."""
+    def timeline_records(self, clock: float) -> List[Dict]:
+        """The full JSONL payload: header, samples, final registry dump.
+
+        ``clock`` is the logical time the timeline covers (the hub's
+        clock when the run ended), recorded in the header.
+        """
         header = {
             "type": "meta", "version": 1, "run_id": self.run_id,
-            "cadence": self.cadence, "clock": round(self.clock, 9),
+            "cadence": self.cadence, "clock": round(clock, 9),
             "num_samples": len(self.samples), "dropped": self._dropped,
         }
         registry_record = {"type": "registry",
                            "registry": self.registry.to_dict()}
         return [header] + self.samples + [registry_record]
 
-    def write_timeline(self, path) -> None:
+    def write_timeline(self, path, clock: float) -> None:
         """Write the timeline artifact (JSONL; see module docstring)."""
         with open(path, "w", encoding="utf-8") as fh:
-            for record in self.timeline_records():
+            for record in self.timeline_records(clock):
                 fh.write(json.dumps(record, sort_keys=True))
                 fh.write("\n")
 
@@ -523,63 +456,6 @@ def driver_rss_bytes() -> Optional[int]:
     rss = int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
     # ru_maxrss is KiB on Linux, bytes on macOS.
     return rss if sys.platform == "darwin" else rss * 1024
-
-
-def telemetry_of(cluster) -> "Telemetry":
-    """The cluster's telemetry, defaulting to :data:`NULL_TELEMETRY`.
-
-    Mirrors the ``cluster.tracer or NULL_TRACER`` idiom used by the
-    engine; tolerates configs created before the field existed.
-    """
-    return getattr(cluster, "telemetry", None) or NULL_TELEMETRY
-
-
-def emit_run_telemetry(cluster, metrics, dfs=None) -> None:
-    """Record one algorithm execution's run-level metric series.
-
-    The engine-level instrumentation (:mod:`repro.mapreduce.engine`)
-    captures per-round quantities; this captures what only exists at run
-    end — output cube group counts, sketch bytes, DFS volume, driver RSS.
-    Called by every cube engine at the end of ``compute``, right next to
-    :func:`~repro.observability.tracer.emit_run_span`; a no-op when the
-    cluster carries no telemetry.
-    """
-    telemetry = telemetry_of(cluster)
-    if not telemetry.enabled:
-        return
-    name = metrics.algorithm
-    labels = {"run": name}
-    telemetry.counter(
-        "repro_runs_total", "Cube algorithm executions"
-    ).inc(labels=labels)
-    telemetry.gauge(
-        "repro_cube_groups", "Output cube groups of the last execution"
-    ).set(metrics.output_groups, labels=labels)
-    telemetry.sample("cube_groups", metrics.output_groups, labels=labels)
-    sketch_bytes = metrics.extras.get("sketch_bytes")
-    if sketch_bytes is not None:
-        telemetry.gauge(
-            "repro_sketch_bytes", "Serialized SP-Sketch size"
-        ).set(sketch_bytes, labels=labels)
-        telemetry.sample("sketch_bytes", sketch_bytes, labels=labels)
-    if dfs is not None:
-        # Driver-side DFS accounting is deterministic (writes happen in
-        # the merge order, read-drop coins are seeded), hence "sim".
-        telemetry.sample("dfs_writes", dfs.writes, labels=labels)
-        telemetry.sample("dfs_records_written", dfs.records_written,
-                         labels=labels)
-        if dfs.read_retries:
-            telemetry.sample("dfs_read_retries", dfs.read_retries,
-                             labels=labels)
-        telemetry.gauge(
-            "repro_dfs_files", "Files in the simulated DFS"
-        ).set(len(dfs), labels=labels)
-    rss = driver_rss_bytes()
-    if rss is not None:
-        telemetry.gauge(
-            "repro_driver_rss_bytes", "Peak driver resident-set size"
-        ).set(rss)
-        telemetry.sample("driver_rss_bytes", rss, source=SOURCE_HOST)
 
 
 # ---------------------------------------------------------------------------

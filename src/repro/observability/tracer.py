@@ -12,9 +12,9 @@ and fans it out to pluggable sinks:
 * :class:`ProgressSink` — a human-readable live reporter printing one
   line per job/phase completion and per injected fault.
 
-The default tracer everywhere is the singleton :data:`NULL_TRACER`, whose
-methods are no-ops and whose ``enabled`` flag lets hot paths skip even
-building a record — a traced-off run does no per-record work at all.
+A tracer is attached to a run through an
+:class:`~repro.observability.observers.Observers` hub; with no hub the
+engine builds no record at all.
 
 **Parallel-merge semantics.**  Task attempts may execute in worker
 processes where no sink exists.  The attempt-chain driver
@@ -26,10 +26,10 @@ cubes bit-identical across backends — offsets the buffered records onto
 the simulated timeline and emits them.  Trace files are thus byte-
 identical between serial and parallel backends.
 
-**Simulated clock.**  ``Tracer.clock`` is the cumulative simulated time
-of everything traced so far; :func:`repro.mapreduce.engine.run_job`
-advances it by each round's ``total_seconds``, so multi-round engines
-(and several engines sharing a tracer) lay out on one global timeline.
+**Simulated clock.**  Record times come from the hub's logical clock —
+the cumulative simulated time of every round observed so far — so
+multi-round engines (and several engines sharing a hub) lay out on one
+global timeline.
 """
 
 from __future__ import annotations
@@ -63,42 +63,8 @@ def level_from_name(name: str) -> int:
         ) from None
 
 
-class NullTracer:
-    """The zero-overhead default: every operation is a no-op.
-
-    ``enabled`` is False so call sites guard record construction with a
-    single attribute check; ``level`` is ``LEVEL_OFF`` so level-gated
-    emitters (task buffers, route summaries) never activate.
-    """
-
-    enabled = False
-    level = LEVEL_OFF
-    clock = 0.0
-
-    def emit(self, record: Dict) -> None:
-        pass
-
-    def span(self, kind: str, **fields) -> None:
-        pass
-
-    def event(self, kind: str, at: float, **fields) -> None:
-        pass
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-#: Shared no-op tracer; safe because it carries no state.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """Stamp records with ``seq`` and dispatch them to the sinks."""
-
-    enabled = True
 
     def __init__(self, sinks: Iterable, level: int = LEVEL_TASK):
         if isinstance(level, str):
@@ -107,8 +73,6 @@ class Tracer:
             raise ValueError(f"trace level must be in [0, 3], got {level}")
         self.sinks = list(sinks)
         self.level = level
-        #: Cumulative simulated seconds traced so far (see module doc).
-        self.clock = 0.0
         self._seq = 0
 
     def emit(self, record: Dict) -> None:
@@ -131,10 +95,6 @@ class Tracer:
         record = {"type": "event", "kind": kind, "at": at, "fields": payload}
         record.update(fields)
         self.emit(record)
-
-    def advance(self, seconds: float) -> None:
-        """Advance the simulated clock (one round finished)."""
-        self.clock += seconds
 
     def close(self) -> None:
         """Flush and close every sink that supports it."""
@@ -276,40 +236,6 @@ class ProgressSink:
                 f"({fields.get('median_seconds', 0):.1f}s)"
             )
         return None
-
-
-def emit_run_span(tracer, metrics, base: float) -> None:
-    """Emit one algorithm execution's ``run`` span.
-
-    Called by every cube engine at the end of ``compute`` with the clock
-    value it saw at the start; the span covers ``[base, tracer.clock]``
-    (the jobs in between advanced the clock) and carries the run's
-    headline counters so the analyzer can summarize without re-deriving
-    them from job spans.
-    """
-    if not tracer.enabled:
-        return
-    if metrics.aborted:
-        status = "aborted"
-    elif metrics.failed:
-        status = "failed"
-    else:
-        status = "ok"
-    tracer.span(
-        "run", name=metrics.algorithm,
-        t0=base, t1=base + metrics.total_seconds, status=status,
-        counters={
-            "jobs": len(metrics.jobs),
-            "output_groups": metrics.output_groups,
-            "intermediate_bytes": metrics.intermediate_bytes,
-            "intermediate_records": metrics.intermediate_records,
-            "attempts": metrics.attempts,
-            "killed_tasks": metrics.killed_tasks,
-            "speculative_wins": metrics.speculative_wins,
-            "recovered": metrics.recovered,
-            "recovery_overhead_seconds": metrics.recovery_overhead(),
-        },
-    )
 
 
 def attempt_counters(task) -> Dict[str, float]:

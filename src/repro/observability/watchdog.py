@@ -7,7 +7,7 @@ work) treat as first-class: detecting, **while the run is in flight**,
 that a reducer is drifting past the load the theory promised, and saying
 which cuboid put it there.
 
-The watchdog inspects every job's flow record (built by the engine for
+The watchdog inspects every job's flow record (built by the observation hub for
 the :mod:`~repro.observability.lineage` recorder) at the job's merge
 point and emits three typed alerts:
 
@@ -32,12 +32,12 @@ point and emits three typed alerts:
     a minimum task count so tiny phases cannot alarm.
 
 Alerts are plain dicts (the lineage artifact's ``alert`` records); the
-engine surfaces each through the tracer (typed trace events →
+observation hub surfaces each through the tracer (typed trace events →
 ProgressSink ``[watch]`` lines), the telemetry counter
 ``repro_watchdog_alerts_total{kind}``, and the lineage artifact.  Like
-every observability layer the watchdog is observation-only and keeps its
-own logical clock, and a detached run pays one attribute check
-(:data:`NULL_WATCHDOG`).
+every observability layer the watchdog is observation-only; alert times
+come from the observation hub's one logical clock
+(:mod:`repro.observability.observers`).
 
 For expectation jobs the watchdog also retains the predicted-vs-observed
 per-reducer comparison (:attr:`Watchdog.comparisons`); on a fault-free
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 #: Multiple of the ``n/k + m`` band a reducer (or a cuboid's flow into
 #: one reducer) may reach before alerting — matches the doctor's
@@ -81,31 +81,8 @@ class WatchdogExpectation:
     predicted: Dict[int, int] = field(default_factory=dict)
 
 
-class NullWatchdog:
-    """The zero-overhead default: every operation is a no-op."""
-
-    enabled = False
-    clock = 0.0
-
-    def expect(self, job: str, *, n: int, k: int, m: int,
-               predicted: Dict[int, int]) -> None:
-        pass
-
-    def inspect_job(self, flow_job: Dict, metrics) -> List[Dict]:
-        return []
-
-    def advance(self, seconds: float) -> None:
-        pass
-
-
-#: Shared no-op watchdog; safe because it carries no state.
-NULL_WATCHDOG = NullWatchdog()
-
-
 class Watchdog:
     """Compare observed shuffle flows against the theory, per round."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -118,10 +95,6 @@ class Watchdog:
         self.skew_tolerance = skew_tolerance
         self.straggler_factor = straggler_factor
         self.min_straggler_tasks = min_straggler_tasks
-        #: Cumulative simulated seconds inspected so far (own clock, like
-        #: telemetry's — alert times cannot depend on a tracer being
-        #: attached).
-        self.clock = 0.0
         #: Every alert emitted, in order.
         self.alerts: List[Dict] = []
         #: Per expectation job: predicted/observed/delta reducer loads.
@@ -140,20 +113,21 @@ class Watchdog:
 
     # -- inspection (engine-facing) ------------------------------------------
 
-    def inspect_job(self, flow_job: Dict, metrics) -> List[Dict]:
+    def inspect_job(self, flow_job: Dict, metrics, t0: float) -> List[Dict]:
         """Check one finished job's flows; returns the new alerts.
 
-        Called by the engine for *every* job a watchdog-carrying cluster
-        runs (so execution indices track re-executed rounds); aborted
-        executions are counted but never inspected — their flows are
-        partial by definition.
+        Called for *every* job a watchdog-carrying cluster runs (so
+        execution indices track re-executed rounds); aborted executions
+        are counted but never inspected — their flows are partial by
+        definition.  ``t0`` is the job's start on the logical clock;
+        alerts are stamped at the job's end.
         """
         name = flow_job["job"]
         execution = self._executions.get(name, 0)
         self._executions[name] = execution + 1
         if metrics.aborted:
             return []
-        at = round(self.clock + metrics.total_seconds, 9)
+        at = round(t0 + metrics.total_seconds, 9)
         expectation = self._expectations.get(name)
         alerts: List[Dict] = []
 
@@ -176,10 +150,6 @@ class Watchdog:
 
         self.alerts.extend(alerts)
         return alerts
-
-    def advance(self, seconds: float) -> None:
-        """Advance the watchdog's simulated clock (one round finished)."""
-        self.clock += seconds
 
     # -- checks --------------------------------------------------------------
 
@@ -283,10 +253,3 @@ class Watchdog:
             },
         }
 
-
-def watchdog_of(cluster) -> Optional["Watchdog"]:
-    """The cluster's watchdog when one is attached and enabled."""
-    watchdog = getattr(cluster, "watchdog", None)
-    if watchdog is not None and watchdog.enabled:
-        return watchdog
-    return None

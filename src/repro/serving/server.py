@@ -20,7 +20,12 @@ one:
   decisions therefore see the true backlog, not an optimistic one;
 * malformed or unanswerable queries (unknown op, unknown dimension,
   non-materializable cuboid) return HTTP 400 with ``"retriable": false``
-  — retrying a query the store cannot answer would only burn slots.
+  — retrying a query the store cannot answer would only burn slots;
+* so does bad request framing: a ``Content-Length`` that is not a
+  non-negative integer or exceeds :data:`MAX_BODY_BYTES` is refused
+  before any body byte is read, and a client that stalls mid-body is
+  cut off after :data:`READ_TIMEOUT` seconds, so no request can pin a
+  handler thread.
 
 Wire protocol: ``POST /query`` with a JSON body (see
 :func:`execute_query` for the op shapes), ``GET /stats`` for the shared
@@ -45,6 +50,12 @@ from .view import StoredCubeView
 DEFAULT_WORKERS = 4
 DEFAULT_QUEUE_DEPTH = 16
 DEFAULT_DEADLINE = 5.0
+
+#: Largest request body accepted; wire queries are a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
+#: Socket read timeout per request, in seconds.
+READ_TIMEOUT = 10.0
 
 #: Ops answerable over the wire.  ``dice`` is deliberately absent: its
 #: predicates are Python callables and deserializing code is not a
@@ -139,6 +150,21 @@ def execute_query(view: StoredCubeView, spec: Dict) -> object:
     except TypeError as exc:
         # Wrong-typed spec fields (e.g. dimensions: 3) surface here.
         raise QueryError(str(exc)) from None
+
+
+def _body_length(header: Optional[str]) -> Optional[int]:
+    """The request body length, or ``None`` when the header is unusable.
+
+    A missing header means an empty body; anything but a decimal
+    integer in ``[0, MAX_BODY_BYTES]`` is refused.
+    """
+    if header is None:
+        return 0
+    header = header.strip()
+    if not (header.isascii() and header.isdigit()):
+        return None
+    length = int(header)
+    return length if length <= MAX_BODY_BYTES else None
 
 
 class CubeServer:
@@ -247,6 +273,8 @@ class CubeServer:
         server = self
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = READ_TIMEOUT
+
             def _reply(self, status: int, body: Dict) -> None:
                 payload = json.dumps(body, sort_keys=True).encode("utf-8")
                 self.send_response(status)
@@ -275,7 +303,16 @@ class CubeServer:
                          "retriable": False},
                     )
                     return
-                length = int(self.headers.get("Content-Length", 0))
+                length = _body_length(self.headers.get("Content-Length"))
+                if length is None:
+                    self._reply(
+                        400,
+                        {"ok": False,
+                         "error": "Content-Length must be an integer in "
+                                  f"[0, {MAX_BODY_BYTES}]",
+                         "retriable": False},
+                    )
+                    return
                 try:
                     spec = json.loads(self.rfile.read(length) or b"{}")
                 except ValueError:

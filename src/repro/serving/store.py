@@ -82,15 +82,11 @@ class ServingCounters:
 
     def __init__(self, telemetry=None):
         self._counts = {field: 0 for field in self.FIELDS}
-        if telemetry is None:
-            from ..observability.telemetry import NULL_TELEMETRY
-
-            telemetry = NULL_TELEMETRY
         self._telemetry = telemetry
 
     def bump(self, field: str, amount: int = 1) -> None:
         self._counts[field] += amount
-        if self._telemetry.enabled:
+        if self._telemetry is not None:
             name = "repro_" + field.replace(".", "_") + "_total"
             self._telemetry.counter(name, f"{field} events").inc(amount)
 
@@ -124,6 +120,39 @@ def _encode(obj) -> str:
 
 def _decode(text: str):
     return ast.literal_eval(text)
+
+
+def _write_segments(handle, header: Dict, masks, by_mask) -> int:
+    """Header, one segment per cuboid, footer; returns the bytes written."""
+    handle.write(
+        f"{MAGIC} {FORMAT_VERSION} "
+        f"{json.dumps(header, sort_keys=True)}\n"
+    )
+    offset = handle.tell()
+    entries = []
+    for mask in sorted(masks, key=lambda m: group_sort_key(m, ())):
+        lines = [
+            f"{_encode(values)}\t{_encode(value)}\n"
+            for values, value in by_mask[mask]
+        ]
+        segment = "".join(lines)
+        raw = segment.encode("utf-8")
+        handle.write(segment)
+        entries.append(
+            {
+                "mask": mask,
+                "offset": offset,
+                "length": len(raw),
+                "groups": len(lines),
+                "crc32": zlib.crc32(raw),
+            }
+        )
+        offset += len(raw)
+    footer = json.dumps({"cuboids": entries}, sort_keys=True) + "\n"
+    footer_raw = footer.encode("utf-8")
+    handle.write(footer)
+    handle.write(f"footer {offset} {zlib.crc32(footer_raw)}\n")
+    return handle.tell()
 
 
 def estimate_cube_bytes(cube: CubeResult) -> int:
@@ -244,38 +273,21 @@ class CubeStore:
             "min_group_size": min_group_size,
             "total_groups": cube.num_groups,
         }
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(
-                f"{MAGIC} {FORMAT_VERSION} "
-                f"{json.dumps(header, sort_keys=True)}\n"
-            )
-            offset = handle.tell()
-            entries = []
-            for mask in sorted(masks, key=lambda m: group_sort_key(m, ())):
-                lines = [
-                    f"{_encode(values)}\t{_encode(value)}\n"
-                    for values, value in by_mask[mask]
-                ]
-                segment = "".join(lines)
-                raw = segment.encode("utf-8")
-                handle.write(segment)
-                entries.append(
-                    {
-                        "mask": mask,
-                        "offset": offset,
-                        "length": len(raw),
-                        "groups": len(lines),
-                        "crc32": zlib.crc32(raw),
-                    }
-                )
-                offset += len(raw)
-            footer = json.dumps(
-                {"cuboids": entries}, sort_keys=True
-            ) + "\n"
-            footer_raw = footer.encode("utf-8")
-            handle.write(footer)
-            handle.write(f"footer {offset} {zlib.crc32(footer_raw)}\n")
-            return handle.tell()
+        # Write a sibling temp file and rename it over ``path`` only once
+        # it is complete and on disk: a failure mid-write leaves the
+        # previous store (if any) untouched and no temp file behind.
+        tmp_path = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp_path, "x", encoding="utf-8", newline="") as handle:
+                size = _write_segments(handle, header, masks, by_mask)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp_path, path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.remove(tmp_path)
+            raise
+        return size
 
     # -- opening -------------------------------------------------------------
 

@@ -236,13 +236,18 @@ class TestPerPointFaultSeeds:
         assert per_point[0] != per_point[1]
 
     def test_tracer_covers_every_sweep_run(self, cluster):
-        from repro.observability import MemorySink, TraceAnalysis, Tracer
+        from repro.observability import (
+            MemorySink,
+            Observers,
+            TraceAnalysis,
+            Tracer,
+        )
 
         sink = MemorySink()
         tracer = Tracer([sink], level="job")
         run_sweep(
             "demo", "n", tiny_workloads(), FACTORIES, cluster,
-            tracer=tracer,
+            observers=Observers(tracer=tracer),
         )
         analysis = TraceAnalysis(sink.records)
         # 2 points x 2 algorithms = 4 run spans on one global timeline.

@@ -7,6 +7,7 @@ every engine, clean and under injected task and node faults.  And like
 telemetry, attaching either may never change the simulation itself.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,8 @@ from repro.mapreduce.faults import NodeFaultSpec
 from repro.observability import (
     LineageRecorder,
     MemorySink,
+    Observers,
+    Telemetry,
     TraceAnalysis,
     Tracer,
     Watchdog,
@@ -57,8 +60,10 @@ def make_cluster(lineage=None, watchdog=None, parallelism=None,
         fault_plan=fault_plan,
         retry_policy=RetryPolicy(),
         parallelism=parallelism,
-        lineage=lineage,
-        watchdog=watchdog,
+        observers=(
+            Observers(lineage=lineage, watchdog=watchdog)
+            if lineage is not None or watchdog is not None else None
+        ),
     )
 
 
@@ -106,8 +111,9 @@ def node_cluster(parallelism=None):
         base,
         fault_plan=plan,
         parallelism=parallelism,
-        lineage=LineageRecorder(run_id="identity"),
-        watchdog=Watchdog(),
+        observers=Observers(
+            lineage=LineageRecorder(run_id="identity"), watchdog=Watchdog()
+        ),
     )
 
 
@@ -121,13 +127,19 @@ def test_serial_parallel_identity_under_node_faults():
     parallel_run = MRCube(parallel).compute(relation)
     assert serial_run.metrics.nodes_lost == 1
     assert parallel_run.cube == serial_run.cube
-    assert parallel.lineage.to_records() == serial.lineage.to_records()
-    assert parallel.watchdog.alerts == serial.watchdog.alerts
+    assert (
+        parallel.observers.lineage.to_records()
+        == serial.observers.lineage.to_records()
+    )
+    assert (
+        parallel.observers.watchdog.alerts
+        == serial.observers.watchdog.alerts
+    )
     # The killed round is present as an aborted execution 0 followed by
     # a clean execution 1 of the same job name.
     executions = [
         (r["job"], r["execution"], r["aborted"])
-        for r in serial.lineage.to_records() if r["type"] == "job"
+        for r in serial.observers.lineage.to_records() if r["type"] == "job"
         and r["job"] == "mrcube-materialize"
     ]
     assert ("mrcube-materialize", 0, True) in executions
@@ -152,8 +164,7 @@ def test_recording_does_not_change_runs(binomial, engine_name):
 
 def test_lineage_off_by_default(binomial):
     cluster = make_cluster()
-    assert cluster.lineage is None
-    assert cluster.watchdog is None
+    assert cluster.observers is None
     run = SPCube(cluster).compute(binomial)
     assert run.metrics.output_groups > 0
 
@@ -180,19 +191,18 @@ class TestWatchdogMatchesDoctor:
         relation = gen_binomial(1500, 0.9, seed=11)
         sink = MemorySink()
         cluster = paper_cluster(len(relation), num_machines=4)
-        cluster = replace(
-            cluster,
+        observers = Observers(
             tracer=Tracer([sink], level="task"),
             lineage=LineageRecorder(run_id="doctor"),
             watchdog=Watchdog(),
         )
+        cluster = replace(cluster, observers=observers)
         cube_run = SPCube(cluster).compute(relation)
-        cluster.tracer.close()
-        return relation, cluster, cube_run, sink.records
+        return relation, observers, cube_run, sink.records
 
     def test_deltas_are_zero_and_sides_match_attribution(self, run):
-        relation, cluster, cube_run, records = run
-        comparison = cluster.watchdog.comparisons["sp-cube"]
+        relation, observers, cube_run, records = run
+        comparison = observers.watchdog.comparisons["sp-cube"]
         attribution = attribute_load(
             relation, cube_run.sketch, TraceAnalysis(records)
         )
@@ -206,12 +216,53 @@ class TestWatchdogMatchesDoctor:
         cuboids the doctor's attribution says routed its load."""
         from repro.observability import explain_reducer
 
-        relation, cluster, cube_run, _records = run
+        relation, observers, cube_run, _records = run
         attribution = attribute_load(relation, cube_run.sketch)
         result = explain_reducer(
-            cluster.lineage.to_records(), job="sp-cube"
+            observers.lineage.to_records(), job="sp-cube"
         )
         flagged = attribution.by_cuboid.get(result["reducer"], {})
         explained = {int(mask) for mask in result["by_cuboid"]}
         assert explained  # the walk names cuboids at all
         assert {m for m in flagged if flagged[m] > 0} <= explained
+
+
+def channel_bytes(channel, observers):
+    """The channel's own artifact as bytes.  The lineage artifact's
+    alert records come from the companion watchdog and are set aside."""
+    if channel == "lineage":
+        records = [
+            record for record in observers.lineage.to_records()
+            if record["type"] != "alert"
+        ]
+    else:
+        records = observers.watchdog.alerts + [observers.watchdog.comparisons]
+    return "\n".join(json.dumps(r, sort_keys=True) for r in records).encode()
+
+
+def observed_run(engine_cls, relation, channel, attach_all):
+    subscribers = {
+        "tracer": Tracer([MemorySink()], level="debug"),
+        "telemetry": Telemetry(run_id="one-clock"),
+        "lineage": LineageRecorder(run_id="one-clock"),
+        "watchdog": Watchdog(),
+    }
+    if not attach_all:
+        subscribers = {channel: subscribers[channel]}
+    cluster = make_cluster(fault_plan=CRASH_PLAN)
+    cluster.observers = Observers(**subscribers)
+    engine_cls(cluster).compute(relation)
+    return channel_bytes(channel, cluster.observers)
+
+
+@pytest.mark.parametrize("channel", ["lineage", "watchdog"])
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_one_clock_artifact_alone_equals_with_all_four(
+    binomial, engine_name, channel
+):
+    """The hub's one clock advances the same way whichever subscribers
+    are attached, so a channel's artifact cannot depend on its company."""
+    alone = observed_run(ENGINES[engine_name], binomial, channel, False)
+    together = observed_run(ENGINES[engine_name], binomial, channel, True)
+    assert alone
+    assert together == alone

@@ -19,7 +19,12 @@ from repro.baselines import MRCube
 from repro.core import SPCube
 from repro.datagen import gen_binomial, gen_zipf
 from repro.mapreduce.faults import FaultPlan, NodeFaultSpec
-from repro.observability import MemorySink, Tracer, validate_records
+from repro.observability import (
+    MemorySink,
+    Observers,
+    Tracer,
+    validate_records,
+)
 
 ROWS = 3000
 #: Job-relative instant inside the materialize round's reduce phase (the
@@ -54,7 +59,7 @@ def resumed_run():
     sink = MemorySink()
     tracer = Tracer([sink], level="task")
     run = MRCube(
-        cluster(fault_plan=kill_plan(), tracer=tracer)
+        cluster(fault_plan=kill_plan(), observers=Observers(tracer=tracer))
     ).compute(relation())
     tracer.close()
     return run, sink.records
@@ -264,7 +269,8 @@ class TestBackendIdentity:
                                       job="mrcube-materialize")],
         )
         run = MRCube(
-            cluster(fault_plan=plan, tracer=tracer, parallelism=parallelism)
+            cluster(fault_plan=plan, observers=Observers(tracer=tracer),
+                    parallelism=parallelism)
         ).compute(relation())
         tracer.close()
         jobs = []

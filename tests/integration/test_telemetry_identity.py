@@ -13,6 +13,7 @@ Two invariants of the telemetry layer, enforced for every engine:
   machine.
 """
 
+import json
 from dataclasses import asdict
 
 import pytest
@@ -27,7 +28,15 @@ from repro.mapreduce import (
     FaultSpec,
     RetryPolicy,
 )
-from repro.observability import MemorySink, Telemetry, Tracer
+from repro.observability import (
+    ALERT_KINDS,
+    LineageRecorder,
+    MemorySink,
+    Observers,
+    Telemetry,
+    Tracer,
+    Watchdog,
+)
 
 ENGINES = {
     "spcube": SPCube,
@@ -59,8 +68,10 @@ def make_cluster(telemetry=None, parallelism=None, fault_plan=None,
         fault_plan=fault_plan,
         retry_policy=RetryPolicy(),
         parallelism=parallelism,
-        telemetry=telemetry,
-        tracer=tracer,
+        observers=(
+            Observers(tracer=tracer, telemetry=telemetry)
+            if tracer is not None or telemetry is not None else None
+        ),
     )
 
 
@@ -109,10 +120,10 @@ def test_sim_samples_identical_serial_vs_parallel(binomial, engine_name):
     engine_cls = ENGINES[engine_name]
     serial_telemetry = Telemetry(run_id=engine_name)
     parallel_telemetry = Telemetry(run_id=engine_name)
-    engine_cls(make_cluster(serial_telemetry)).compute(binomial)
-    engine_cls(
-        make_cluster(parallel_telemetry, parallelism=3)
-    ).compute(binomial)
+    serial = make_cluster(serial_telemetry)
+    parallel = make_cluster(parallel_telemetry, parallelism=3)
+    engine_cls(serial).compute(binomial)
+    engine_cls(parallel).compute(binomial)
 
     def sim_only(telemetry):
         return [
@@ -122,7 +133,7 @@ def test_sim_samples_identical_serial_vs_parallel(binomial, engine_name):
         ]
 
     assert sim_only(parallel_telemetry) == sim_only(serial_telemetry)
-    assert parallel_telemetry.clock == serial_telemetry.clock
+    assert parallel.observers.clock == serial.observers.clock
 
 
 def test_sim_samples_identical_under_faults(binomial):
@@ -147,25 +158,96 @@ def test_sim_samples_identical_under_faults(binomial):
 
 
 def test_samples_independent_of_tracer(binomial):
-    """Sample times ride the telemetry clock, not the tracer's: a run
-    with a trace sink attached must emit exactly the samples of an
-    untraced run (the tracer's clock only advances when tracing is on,
-    so borrowing it would shift every multi-round timestamp)."""
+    """Sample times ride the hub's one clock, which advances whichever
+    subscribers are attached: a run with a trace sink attached must emit
+    exactly the samples of an untraced run."""
     untraced_telemetry = Telemetry(run_id="multi-round")
     traced_telemetry = Telemetry(run_id="multi-round")
-    SPCube(make_cluster(untraced_telemetry)).compute(binomial)
-    SPCube(
-        make_cluster(traced_telemetry, tracer=Tracer(sinks=[MemorySink()]))
-    ).compute(binomial)
+    untraced = make_cluster(untraced_telemetry)
+    traced = make_cluster(
+        traced_telemetry, tracer=Tracer(sinks=[MemorySink()])
+    )
+    SPCube(untraced).compute(binomial)
+    SPCube(traced).compute(binomial)
     sim = lambda t: [r for r in t.samples if r["source"] == "sim"]
     assert sim(traced_telemetry) == sim(untraced_telemetry)
-    assert traced_telemetry.clock == untraced_telemetry.clock
+    assert traced.observers.clock == untraced.observers.clock
 
 
 def test_telemetry_off_by_default(binomial):
     """A bare cluster carries no collector: nothing to pay, nothing
     recorded."""
     cluster = make_cluster()
-    assert cluster.telemetry is None
+    assert cluster.observers is None
     run = SPCube(cluster).compute(binomial)
     assert run.metrics.output_groups > 0
+
+
+#: Registry metrics observing the host, excluded like host samples.
+HOST_METRICS = (
+    "repro_driver_rss_bytes",
+    "repro_executor_queue_depth",
+    "repro_executor_inflight_batches",
+)
+
+#: What a channel receives only from a companion subscriber: watchdog
+#: alerts fanned out to the trace and the telemetry alert counter, and
+#: the lineage recorder's per-job summary event.
+COMPANION_KINDS = ("lineage",) + ALERT_KINDS
+COMPANION_METRICS = ("repro_watchdog_alerts_total",)
+
+
+def artifact_bytes(channel, observers, sink):
+    """The channel's own artifact as bytes.
+
+    Host observations and companion records (see above) are set aside;
+    every timestamp stays in.  Trace ``seq`` numbers are dropped because
+    companion events interleave with the channel's own records.
+    """
+    if channel == "tracer":
+        records = [
+            {k: v for k, v in record.items() if k != "seq"}
+            for record in sink.records
+            if record["kind"] not in COMPANION_KINDS
+        ]
+    else:
+        records = []
+        for record in observers.telemetry.timeline_records(observers.clock):
+            if record.get("source") == "host":
+                continue
+            if record["type"] == "registry":
+                record["registry"]["metrics"] = [
+                    metric for metric in record["registry"]["metrics"]
+                    if metric["name"] not in HOST_METRICS + COMPANION_METRICS
+                ]
+            records.append(record)
+    return "\n".join(json.dumps(r, sort_keys=True) for r in records).encode()
+
+
+def observed_run(engine_cls, relation, channel, attach_all):
+    sink = MemorySink()
+    subscribers = {
+        "tracer": Tracer([sink], level="debug"),
+        "telemetry": Telemetry(run_id="one-clock"),
+        "lineage": LineageRecorder(run_id="one-clock"),
+        "watchdog": Watchdog(),
+    }
+    if not attach_all:
+        subscribers = {channel: subscribers[channel]}
+    cluster = make_cluster(fault_plan=CRASH_PLAN)
+    cluster.observers = Observers(**subscribers)
+    engine_cls(cluster).compute(relation)
+    return artifact_bytes(channel, cluster.observers, sink)
+
+
+@pytest.mark.parametrize("channel", ["tracer", "telemetry"])
+@pytest.mark.parametrize("engine_name", sorted(ENGINES))
+def test_one_clock_artifact_alone_equals_with_all_four(
+    binomial, engine_name, channel
+):
+    """The hub's one clock advances the same way whichever subscribers
+    are attached, so a channel's artifact cannot depend on its company."""
+    alone = observed_run(ENGINES[engine_name], binomial, channel, False)
+    together = observed_run(ENGINES[engine_name], binomial, channel, True)
+    assert alone
+    assert together == alone

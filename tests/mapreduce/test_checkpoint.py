@@ -19,13 +19,12 @@ OUTPUTS = [[("a", 1), ("b", 2)], [("c", 3)]]
 class TestCheckpointManager:
     def test_save_and_load_round_trip(self):
         manager, _dfs = make_manager()
-        manager.save_round(0, "job-a", OUTPUTS, clock=12.5, trace_watermark=7)
+        manager.save_round(0, "job-a", OUTPUTS, clock=12.5)
         loaded = manager.load_round(0)
         assert loaded is not None
         assert loaded["manifest"]["job"] == "job-a"
         assert loaded["manifest"]["num_parts"] == 2
         assert loaded["manifest"]["clock"] == 12.5
-        assert loaded["manifest"]["trace_watermark"] == 7
         assert loaded["outputs"] == {0: [("a", 1), ("b", 2)], 1: [("c", 3)]}
 
     def test_missing_round_loads_as_none(self):

@@ -9,6 +9,7 @@ from repro.core import SPCube, build_exact_sketch
 from repro.observability import (
     BalanceStats,
     MemorySink,
+    Observers,
     SkewConfusion,
     TraceAnalysis,
     Tracer,
@@ -145,9 +146,8 @@ class TestLoadAttribution:
         rel = skewed_relation()
         sink = MemorySink()
         cluster = paper_cluster(len(rel), num_machines=K)
-        cluster.tracer = Tracer([sink], level="task")
+        cluster.observers = Observers(tracer=Tracer([sink], level="task"))
         run = SPCube(cluster).compute(rel)
-        cluster.tracer.close()
         attribution = attribute_load(
             rel, run.sketch, TraceAnalysis(sink.records)
         )

@@ -16,6 +16,7 @@ from repro.mapreduce.faults import FaultPlan
 from repro.observability import (
     JsonlSink,
     MemorySink,
+    Observers,
     TraceAnalysis,
     Tracer,
     validate_records,
@@ -34,7 +35,8 @@ def run_spcube(tracer=None, parallelism=None):
     cluster = paper_cluster(
         ROWS, fault_plan=fault_plan(), parallelism=parallelism
     )
-    cluster.tracer = tracer
+    if tracer is not None:
+        cluster.observers = Observers(tracer=tracer)
     return SPCube(cluster).compute(relation)
 
 

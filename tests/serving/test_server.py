@@ -1,6 +1,7 @@
 """The query server: wire protocol, admission control, deadlines."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -27,6 +28,31 @@ def _request(port, path, body=None):
             return resp.status, json.loads(resp.read())
     except urllib.error.HTTPError as exc:
         return exc.code, json.loads(exc.read())
+
+
+def _raw_post(port, content_length):
+    """POST /query with a hand-written Content-Length and no body; the
+    client keeps its side open, so a server that waits for the body
+    shows up as a socket timeout here.  Returns (status, JSON body)."""
+    head = (
+        "POST /query HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as conn:
+        conn.sendall(head.encode("ascii"))
+        reply = b""
+        try:
+            while b"\r\n\r\n" not in reply or not reply.endswith(b"}"):
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        except socket.timeout:
+            pytest.fail(f"no reply within 5 s for {content_length!r}")
+    assert reply, f"empty reply for Content-Length {content_length!r}"
+    status_line, _, rest = reply.partition(b"\r\n")
+    body = rest.partition(b"\r\n\r\n")[2]
+    return int(status_line.split()[1]), json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +117,32 @@ class TestWireProtocol:
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=30)
         assert exc.value.code == 400
+
+    @pytest.mark.parametrize(
+        "content_length",
+        ["abc", "-1", "1.5", str(server_module.MAX_BODY_BYTES + 1)],
+    )
+    def test_bad_content_length_is_typed_400(self, server, content_length):
+        status, body = _raw_post(server.port, content_length)
+        assert status == 400
+        assert body["ok"] is False
+        assert body["retriable"] is False
+        assert "Content-Length" in body["error"]
+        # The handler is free again: the server still answers.
+        assert _request(server.port, "/healthz") == (200, {"ok": True})
+
+    def test_stalled_body_is_cut_off(self, view, monkeypatch):
+        """A client that announces a body and never sends it cannot pin
+        a handler thread: the read times out and the connection drops."""
+        monkeypatch.setattr(server_module, "READ_TIMEOUT", 0.5)
+        with CubeServer(view, workers=1, port=0).start() as srv:
+            head = b"POST /query HTTP/1.1\r\nContent-Length: 10\r\n\r\n{"
+            with socket.create_connection(
+                ("127.0.0.1", srv.port), timeout=5
+            ) as conn:
+                conn.sendall(head)
+                # Closed by the server (b"") well before our own timeout.
+                assert conn.recv(65536) == b""
 
     def test_unknown_path_is_404(self, server):
         assert _request(server.port, "/nope")[0] == 404

@@ -87,6 +87,31 @@ class TestWriteOpen:
         with pytest.raises(StoreError, match="round-trip"):
             CubeStore.write(cube, str(tmp_path / "x.store"))
 
+    def test_failed_write_keeps_previous_store(self, cube, store_path):
+        """A write that fails partway leaves the old store byte-identical
+        and openable, with no temp file left beside it."""
+        import os
+
+        from repro.cubing import CubeResult
+
+        with open(store_path, "rb") as handle:
+            before = handle.read()
+        groups = dict(cube.items())
+        # The finest cuboid is written last: the failure comes after
+        # every other segment has already gone to disk.
+        finest = max(all_cuboids(cube.schema.num_dimensions))
+        key = next(k for k in groups if k[0] == finest)
+        groups[key] = object()
+        with pytest.raises(StoreError, match="round-trip"):
+            CubeStore.write(CubeResult(cube.schema, groups), store_path)
+        with open(store_path, "rb") as handle:
+            assert handle.read() == before
+        with CubeStore.open(store_path) as store:
+            assert store.to_cube() == cube
+        assert os.listdir(os.path.dirname(store_path)) == [
+            os.path.basename(store_path)
+        ]
+
     def test_empty_cuboid_distinct_from_missing(self, retail_schema, tmp_path):
         from repro.cubing import CubeResult
 
